@@ -86,9 +86,10 @@ class ResultTypeFinder:
         #: Optional tracer (``repro.obs.trace``); inference misses emit
         #: a ``type_infer`` event on the current span when enabled.
         self.tracer = NULL_TRACER
-        #: Keyed on (corpus generation, candidate) so a hot-swap or
-        #: live-update bump (``QueryEngineMixin.bump_generation``)
-        #: makes pre-swap types unreachable instead of stale.
+        #: Keyed on (corpus generation, candidate).  Generation bumps
+        #: only when an overlay outgrows its packer; live updates and
+        #: swaps are covered because the serving tier builds a fresh
+        #: suggester, hence a fresh finder, on every install.
         self._cache: OrderedDict[
             tuple[int, tuple[str, ...]], int | None
         ] = OrderedDict()

@@ -772,14 +772,17 @@ class SuggestionService:
     def _index_identity(self) -> tuple[int, int, int]:
         """Which index (and which generation of it) answers are from.
 
-        ``_swap_epoch`` separates installs over the service lifetime
+        ``_swap_epoch`` separates installs over the service lifetime —
+        every ``apply_updates`` is one, so results never outlive an
+        update even though the overlay corpus object stays the same
         (``id()`` alone can be reused by the allocator after the old
         index is collected); ``id(corpus)`` separates distinct index
         objects a long-lived service might be pointed at;
-        ``generation`` (bumped by ``QueryEngineMixin.bump_generation``
-        on a live-update refresh) separates epochs of the *same*
-        object.  Cached results keyed on a previous identity become
-        unreachable rather than stale.
+        ``generation`` (``QueryEngineMixin.bump_generation``, bumped
+        only when an overlay outgrows its packer — live updates
+        otherwise evict per token) separates packed key spaces of the
+        *same* object.  Cached results keyed on a previous identity
+        become unreachable rather than stale.
         """
         return (
             self._swap_epoch,
@@ -1705,8 +1708,9 @@ class SuggestionService:
         so every answer is entirely pre- or entirely post-swap.  The
         suggester is rebuilt (or swapped in pre-built) so its variant
         generator, language model and type finder all read the new
-        generation; the overlay path keeps the in-lock rebuild cheap
-        via the incremental ``OverlayVariantGenerator``.
+        generation, and no type finder outlives an update.  On the
+        overlay path the rebuild is cheap: the overlay keeps one
+        ``OverlayVariantGenerator`` per radius across installs.
         """
         metrics = self.metrics_registry
         began = perf_counter() if metrics.enabled else 0.0

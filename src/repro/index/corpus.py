@@ -129,10 +129,11 @@ class QueryEngineMixin:
         self.merged_cache_hits = 0
         self.merged_cache_misses = 0
         self.merged_cache_evictions = 0
-        #: Generation number of the data this index serves.  Bumped on
-        #: a snapshot hot-swap (see ``bump_generation``); every
+        #: Generation number of the data this index serves.  Bumped
+        #: when every packed key may have changed — a delta overlay
+        #: outgrowing its packer (see ``bump_generation``); every
         #: generation-keyed cache entry from before the bump becomes
-        #: unreachable.
+        #: unreachable.  Narrower changes use ``evict_tokens``.
         self.generation = 0
         #: Merge-kernel plan cache (``index/merge_kernel``): the
         #: precomputed group runs per variant-set intersection.
@@ -162,7 +163,7 @@ class QueryEngineMixin:
             self.intersection_cache.resize(intersection_cache_size)
 
     def bump_generation(self) -> None:
-        """Invalidate every generation-keyed cache (snapshot hot-swap).
+        """Invalidate every generation-keyed cache.
 
         The old entries are dropped eagerly — they are unreachable
         anyway (all lookups embed the new generation) and holding them
@@ -172,6 +173,30 @@ class QueryEngineMixin:
         self._merged_cache.clear()
         self._packed_merged_cache.clear()
         self.intersection_cache.clear()
+
+    def evict_tokens(self, tokens: Iterable[str]) -> None:
+        """Drop the memo entries and merge plans over changed tokens.
+
+        The live-update refresh path: a variant set holding none of
+        ``tokens`` keeps its merged columns and plans.  That is exact
+        because plans hold only posting data (``GroupRun.occurrences``)
+        — scoring reads lengths, entity counts and the language model
+        at replay time.
+        """
+        changed = set(tokens)
+        if not changed:
+            return
+        tuple_cache = self._merged_cache
+        for key in [k for k in tuple_cache if not changed.isdisjoint(k[1])]:
+            del tuple_cache[key]
+        packed_cache = self._packed_merged_cache
+        stale = {
+            packed_cache.pop(key).uid
+            for key in [
+                k for k in packed_cache if not changed.isdisjoint(k[1])
+            ]
+        }
+        self.intersection_cache.evict_columns(stale)
 
     def _trim_merged_caches(self) -> None:
         cap = self.merged_cache_size

@@ -10,11 +10,15 @@ subtree operations on top of it:
 * :class:`DeltaSegment` turns those subtrees into exact adjustments of
   every statistic the scoring model reads — postings, vocabulary
   (Eq. 6 background model), subtree token counts and the Eq. 8
-  normalizers — plus a tombstone set masking deleted base postings;
+  normalizers — plus the tombstoned subtrees whose base postings are
+  cut out, and a per-token stamp of the last record that changed each
+  token's posting list;
 * :class:`DeltaOverlayCorpus` exposes the merged view through the
   standard :class:`~repro.index.corpus.QueryEngineMixin` surface, so
   the tuple engine, the packed classic loop, and the merge kernel all
   consume it unchanged via ``merged_list`` / ``merged_list_packed``.
+  Its caches invalidate per token, by stamp (see
+  :meth:`DeltaOverlayCorpus.refresh`).
 
 **Dewey stability.**  Updates must not renumber nodes the base index
 already refers to.  ``add`` therefore appends as the last child, and
@@ -36,8 +40,11 @@ overlay only ever raises it; compaction restores the exact value.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.exceptions import DeweyError, UpdateError
@@ -48,7 +55,7 @@ from repro.fastss.generator import (
 from repro.fastss.index import FastSSIndex, Variant
 from repro.index.corpus import QueryEngineMixin
 from repro.index.inverted import InvertedList, PackedInvertedList
-from repro.index.path_index import path_counts_from_postings
+from repro.index.path_index import path_counts_from_packed
 from repro.index.wal import WalRecord
 from repro.obs.faults import active as _active_faults
 from repro.xmltree.dewey import DeweyCode
@@ -200,29 +207,38 @@ class DeltaSegment:
     """Bounded, exact stat adjustments for a batch of applied records.
 
     All mappings are *deltas* against the base index: postings to add,
-    signed adjustments to the Eq. 6/8 statistics, and a tombstone set
-    of subtree roots whose base postings are masked.  ``touched`` names
-    every token whose posting list differs from the base — untouched
-    tokens pass through the overlay zero-copy.
+    signed adjustments to the Eq. 6/8 statistics, and the tombstoned
+    subtree roots whose base postings are cut out.  ``touched`` stamps
+    every token whose posting list differs from the base with the
+    version of the record that last changed that list: untouched tokens
+    pass through the overlay zero-copy, and an overlay cache entry built
+    at or after a token's stamp is still exact.
     """
 
     tombstones: set[DeweyCode] = field(default_factory=set)
+    #: token -> tombstone roots whose replaced subtree held the token.
+    #: A base posting is covered by some tombstone exactly when it is
+    #: covered by one of its token's cuts: the first tombstone over it
+    #: replaced a subtree that still held the base node.
+    cuts: dict[str, list[DeweyCode]] = field(default_factory=dict)
     postings_add: dict[str, list[tuple[DeweyCode, int, int]]] = field(
         default_factory=dict
     )
-    touched: set[str] = field(default_factory=set)
+    touched: dict[str, int] = field(default_factory=dict)
     cf_delta: dict[str, int] = field(default_factory=dict)
     df_delta: dict[str, int] = field(default_factory=dict)
     rel_new: dict[str, float] = field(default_factory=dict)
     total_tokens_delta: int = 0
     element_doc_delta: int = 0
+    #: Only ever gains keys (values move), so a reader that has seen
+    #: its first n keys finds the new ones as its insertion-order tail.
     subtree_delta: dict[DeweyCode, int] = field(default_factory=dict)
     path_node_delta: dict[int, int] = field(default_factory=dict)
     path_total_delta: dict[int, int] = field(default_factory=dict)
     max_new_depth: int = 0
     records: list[WalRecord] = field(default_factory=list)
     max_records: int = DEFAULT_DELTA_MAX_RECORDS
-    #: Monotone change counter; overlay caches key off it.
+    #: Monotone change counter; the version of the last folded record.
     version: int = 0
 
     def __len__(self) -> int:
@@ -250,27 +266,39 @@ class DeltaSegment:
         faults = _active_faults()
         if faults.enabled:
             faults.hit("delta.apply")
-        record = result.record
+        stamp = self.version + 1
         if result.old is not None:
-            self._fold_subtree(
+            old_tokens = self._fold_subtree(
                 result.old, result.parent_labels, tokenizer,
-                path_table, sign=-1,
+                path_table, sign=-1, stamp=stamp,
             )
             target = result.old.dewey
             assert target is not None
             self.tombstones.add(target)
-            self._purge_added_under(target)
+            for token in old_tokens:
+                self.cuts.setdefault(token, []).append(target)
+            self._purge_added_under(target, old_tokens)
         self._fold_subtree(
             result.new, result.parent_labels, tokenizer, path_table,
-            sign=+1,
+            sign=+1, stamp=stamp,
         )
-        self.records.append(record)
-        self.version += 1
+        self.records.append(result.record)
+        self.version = stamp
 
-    def _purge_added_under(self, root: DeweyCode) -> None:
-        """Drop previously added postings shadowed by a new tombstone."""
+    def _purge_added_under(
+        self, root: DeweyCode, tokens: set[str]
+    ) -> None:
+        """Drop previously added postings shadowed by a new tombstone.
+
+        Added postings always describe nodes of the current document,
+        so only the replaced subtree's ``tokens`` can have any under
+        ``root`` — and folding that subtree already stamped them.
+        """
         depth = len(root)
-        for token, postings in list(self.postings_add.items()):
+        for token in tokens:
+            postings = self.postings_add.get(token)
+            if not postings:
+                continue
             kept = [p for p in postings if p[0][:depth] != root]
             if len(kept) != len(postings):
                 self.postings_add[token] = kept
@@ -282,7 +310,10 @@ class DeltaSegment:
         tokenizer,
         path_table,
         sign: int,
-    ) -> None:
+        stamp: int,
+    ) -> set[str]:
+        """Fold one subtree's statistics; returns the tokens it held."""
+        seen: set[str] = set()
         for node, labels in subtree.iter_with_paths(
             prefix=parent_labels
         ):
@@ -305,7 +336,8 @@ class DeltaSegment:
             self.element_doc_delta += sign
             self.total_tokens_delta += sign * length
             for token, tf in counts.items():
-                self.touched.add(token)
+                seen.add(token)
+                self.touched[token] = stamp
                 self.cf_delta[token] = (
                     self.cf_delta.get(token, 0) + sign * tf
                 )
@@ -329,15 +361,16 @@ class DeltaSegment:
                     self.path_total_delta.get(ancestor, 0)
                     + sign * length
                 )
+        return seen
 
     # ------------------------------------------------------------------
 
-    def masks(self, dewey: DeweyCode) -> bool:
-        """True when a tombstone covers ``dewey`` (ancestor-or-self)."""
-        for root in self.tombstones:
-            if dewey[: len(root)] == root:
-                return True
-        return False
+    def changed_since(self, version: int) -> list[str]:
+        """Tokens whose posting list changed after ``version``."""
+        return [
+            token for token, stamp in self.touched.items()
+            if stamp > version
+        ]
 
     def approx_bytes(self) -> int:
         """Rough in-memory footprint of the segment.
@@ -358,7 +391,10 @@ class DeltaSegment:
                 len(self.subtree_delta) + len(self.path_node_delta)
                 + len(self.path_total_delta)
             )
-            + 48 * (len(self.touched) + len(self.tombstones))
+            + 48 * (
+                len(self.touched) + len(self.tombstones)
+                + sum(len(roots) for roots in self.cuts.values())
+            )
         )
 
     def describe(self) -> dict:
@@ -471,53 +507,57 @@ class OverlayVocabulary:
             )
 
 
-class OverlayInvertedIndex:
-    """Token → posting list view merging base lists with the delta.
+def _stamped(cache: dict, delta: DeltaSegment, token: str, stamp: int,
+             build):
+    """``build(token)``, cached in ``cache`` until the token's stamp moves.
 
-    Untouched tokens are served zero-copy from the base; touched
-    tokens get a materialized, Dewey-sorted merge of the unmasked base
-    postings and the delta additions, cached until the next delta
-    version.
+    An entry built at delta version v stays exact while the token's
+    stamp is at most v: no later record changed its posting list.
+    """
+    cached = cache.get(token)
+    if cached is not None and cached[0] >= stamp:
+        return cached[1]
+    value = build(token)
+    cache[token] = (delta.version, value)
+    return value
+
+
+class OverlayInvertedIndex:
+    """Token → posting list view for the tuple engine.
+
+    Untouched tokens are served zero-copy from the base; a touched
+    token's list is its packed overlay list (:class:`OverlayPackedView`)
+    unpacked, cached until the token's stamp moves.
     """
 
     def __init__(self, overlay: "DeltaOverlayCorpus"):
         self._overlay = overlay
-        self._cache: dict[str, InvertedList | None] = {}
-        self._version = overlay.delta.version
-
-    def _refresh(self) -> None:
-        version = self._overlay.delta.version
-        if version != self._version:
-            self._cache.clear()
-            self._version = version
+        self._cache: dict[str, tuple[int, InvertedList | None]] = {}
 
     def get(self, token: str) -> InvertedList | None:
-        self._refresh()
-        delta = self._overlay.delta
-        if token not in delta.touched:
-            return self._overlay.base.inverted.get(token)
-        if token in self._cache:
-            return self._cache[token]
-        merged = self._merge(token)
-        self._cache[token] = merged
-        return merged
+        overlay = self._overlay
+        stamp = overlay.delta.touched.get(token)
+        if stamp is None:
+            return overlay.base.inverted.get(token)
+        return _stamped(
+            self._cache, overlay.delta, token, stamp, self._unpack
+        )
 
-    def _merge(self, token: str) -> InvertedList | None:
-        delta = self._overlay.delta
-        base_list = self._overlay.base.inverted.get(token)
-        postings: list[tuple[DeweyCode, int, int]] = []
-        if base_list is not None:
-            masks = delta.masks
-            postings.extend(
-                p for p in base_list if not masks(p[0])
-            )
-        added = delta.postings_add.get(token)
-        if added:
-            postings.extend(added)
-            postings.sort(key=lambda p: p[0])
-        if not postings:
+    def _unpack(self, token: str) -> InvertedList | None:
+        view = self._overlay.packed_view()
+        packed = view.get(token)
+        if packed is None:
             return None
-        return InvertedList(token, postings)
+        unpack = view.packer.unpack
+        return InvertedList(
+            token,
+            [
+                (unpack(key), pid, tf)
+                for key, pid, tf in zip(
+                    packed.keys, packed.path_ids, packed.tfs
+                )
+            ],
+        )
 
     def list_for(self, token: str) -> InvertedList:
         found = self.get(token)
@@ -553,35 +593,34 @@ class OverlayInvertedIndex:
 class OverlayPathIndex:
     """f_w^p counts: recomputed for touched tokens, else pass-through.
 
-    Recomputation runs the same prefix-scan as the index builder over
-    the overlay's merged (document-ordered) posting list, so counts
-    are exact — not adjusted approximations.
+    Recomputation prefix-scans the token's packed overlay list, the
+    same scan the index builder runs over tuples, so counts are exact
+    — not adjusted approximations.  Cached until the token's stamp
+    moves.
     """
 
     def __init__(self, overlay: "DeltaOverlayCorpus"):
         self._overlay = overlay
-        self._cache: dict[str, dict[int, int]] = {}
-        self._version = overlay.delta.version
+        self._cache: dict[str, tuple[int, dict[int, int]]] = {}
 
     def counts_for(self, token: str) -> dict[int, int]:
         overlay = self._overlay
-        if token not in overlay.delta.touched:
+        stamp = overlay.delta.touched.get(token)
+        if stamp is None:
             return overlay.base.path_index.counts_for(token)
-        if overlay.delta.version != self._version:
-            self._cache.clear()
-            self._version = overlay.delta.version
-        counts = self._cache.get(token)
-        if counts is None:
-            merged = overlay.inverted.get(token)
-            counts = (
-                path_counts_from_postings(
-                    merged.postings, overlay.path_table
-                )
-                if merged is not None
-                else {}
-            )
-            self._cache[token] = counts
-        return counts
+        return _stamped(
+            self._cache, overlay.delta, token, stamp, self._count
+        )
+
+    def _count(self, token: str) -> dict[int, int]:
+        view = self._overlay.packed_view()
+        packed = view.get(token)
+        if packed is None:
+            return {}
+        return path_counts_from_packed(
+            packed.keys, packed.path_ids, view.packer,
+            self._overlay.path_table,
+        )
 
     def f(self, token: str, path_id: int) -> int:
         return self.counts_for(token).get(path_id, 0)
@@ -594,93 +633,229 @@ class OverlayPathIndex:
 
 
 class _OverlayLengths:
-    """Packed-key |D(r)| map: base map plus packed delta adjustments."""
+    """Packed-key |D(r)| map: the base map plus the delta's adjustments.
 
-    __slots__ = ("_base", "_delta")
+    ``codes`` maps packed keys to the Dewey codes of ``adjust`` (the
+    segment's live ``subtree_delta``), so a later record's adjustment
+    of a known code is visible without re-packing anything.
+    """
 
-    def __init__(self, base, delta: dict[int, int]):
+    __slots__ = ("_base", "_codes", "_adjust")
+
+    def __init__(self, base, codes: dict[int, DeweyCode],
+                 adjust: dict[DeweyCode, int]):
         self._base = base
-        self._delta = delta
+        self._codes = codes
+        self._adjust = adjust
 
     def get(self, key: int, default: int = 0) -> int:
-        value = self._base.get(key, 0) + self._delta.get(key, 0)
+        value = self._base.get(key, 0)
+        code = self._codes.get(key)
+        if code is not None:
+            value += self._adjust[code]
         return value if value > 0 else default
 
 
-class OverlayPackedView:
-    """Packed-engine view over the overlay.
+def _gather(sources, segments, typecode: str | None):
+    """Concatenate ``sources[s][start:end]`` for each segment, in order.
 
-    When the base packer can encode every new Dewey code (the common
-    case — updates rarely deepen or widen the tree), untouched tokens
-    reuse the base packed columns zero-copy and only touched tokens are
-    re-packed.  Otherwise the view falls back to a full re-pack with a
-    wider packer: slower to warm, still exact.
+    Array and memoryview columns are copied as raw bytes (C-level);
+    keys wider than 64 bits live in plain lists (``typecode`` None).
+    """
+    if typecode is None:
+        out: list[int] = []
+        for source, start, end in segments:
+            out.extend(sources[source][start:end])
+        return out
+    column = array(typecode)
+    for source, start, end in segments:
+        if end > start:
+            column.frombytes(
+                memoryview(sources[source])[start:end].cast("B")
+            )
+    return column
+
+
+def _splice_postings(
+    token: str,
+    base: PackedInvertedList | None,
+    packer: DeweyPacker,
+    cuts: Iterable[DeweyCode],
+    added: Iterable[tuple[DeweyCode, int, int]],
+) -> PackedInvertedList | None:
+    """``base`` with each cut subtree removed and ``added`` merged in.
+
+    A subtree is one contiguous packed key range
+    (``DeweyPacker.group_bounds``), so each cut costs two bisects and
+    the kept runs are copied whole; the added postings are packed,
+    sorted and slotted between them by bisect.  Added and kept keys
+    never collide: every added node lies under a tombstone or at a
+    fresh ordinal.  Returns ``None`` when nothing is left.
+    """
+    if not cuts and not added:
+        return base
+    pack = packer.pack
+    if base is None:
+        base_columns: tuple = ((), (), ())
+    else:
+        base_columns = (base.keys, base.path_ids, base.tfs)
+    keys = base_columns[0]
+    kept = []
+    position = 0
+    for lo, hi in sorted(
+        packer.group_bounds(pack(root), len(root)) for root in cuts
+    ):
+        start = bisect_left(keys, lo, position)
+        end = bisect_left(keys, hi, start)
+        if start > position:
+            kept.append((position, start))
+        position = max(position, end)
+    if position < len(keys):
+        kept.append((position, len(keys)))
+
+    typecode = "q" if packer.fits_int64 else None
+    new = sorted((pack(code), pid, tf) for code, pid, tf in added)
+    new_keys = [row[0] for row in new]
+    new_columns = (
+        new_keys if typecode is None else array(typecode, new_keys),
+        array("i", (row[1] for row in new)),
+        array("i", (row[2] for row in new)),
+    )
+    # (source, start, end) runs in key order: 0 = base, 1 = added.
+    segments = []
+    j = 0
+    for start, end in kept:
+        while j < len(new_keys) and new_keys[j] < keys[end - 1]:
+            split = bisect_left(keys, new_keys[j], start, end)
+            stop = bisect_left(new_keys, keys[split], j)
+            segments += ((0, start, split), (1, j, stop))
+            start, j = split, stop
+        segments.append((0, start, end))
+    segments.append((1, j, len(new_keys)))
+    if not any(end > start for _source, start, end in segments):
+        return None
+    return PackedInvertedList(
+        token,
+        *(
+            _gather(
+                (base_columns[c], new_columns[c]), segments,
+                typecode if c == 0 else "i",
+            )
+            for c in range(3)
+        ),
+    )
+
+
+class OverlayPackedView:
+    """Packed-engine view over the overlay; lives as long as its packer.
+
+    Untouched tokens reuse the base packed columns zero-copy.  A
+    touched token's list is spliced from the base columns in packed
+    key space (:func:`_splice_postings`) and cached with the delta
+    version it was built at, until the token's stamp moves.
+
+    When the delta outgrows the base packer (a deeper tree or a wider
+    fanout) the view re-keys the base into a packer wide enough for
+    both; every list then goes through the same splice.  A later record
+    that outgrows *this* packer makes :meth:`sync` fail, and the
+    overlay replaces the view and bumps its generation.
     """
 
     def __init__(self, overlay: "DeltaOverlayCorpus"):
         self._overlay = overlay
-        self.version = overlay.delta.version
-        self._cache: dict[str, PackedInvertedList | None] = {}
         base_view = overlay.base.packed_view()
-        delta = overlay.delta
+        self._base_view = base_view
+        subtree_delta = overlay.delta.subtree_delta
         packer = base_view.packer
-        self._repacked = False
+        lengths = base_view.subtree_lengths
         try:
-            packed_delta = {
-                packer.pack(code): adjust
-                for code, adjust in delta.subtree_delta.items()
-            }
+            codes = {packer.pack(code): code for code in subtree_delta}
         except DeweyError:
-            packed_delta = None
-        if packed_delta is not None:
-            self.packer = packer
-            self._base_view = base_view
-            self.subtree_lengths = _OverlayLengths(
-                base_view.subtree_lengths, packed_delta
+            grown = DeweyPacker.for_codes(subtree_delta)
+            wider = DeweyPacker(
+                max(packer.max_depth, grown.max_depth),
+                max(packer.component_bits, grown.component_bits),
             )
-        else:
-            # The delta outgrew the base packer (deeper tree or wider
-            # fanout): re-pack everything against a packer sized to the
-            # merged corpus.
-            self._repacked = True
-            self._base_view = None
-            merged = overlay.subtree_token_counts
-            self.packer = DeweyPacker.for_codes(merged)
-            self.subtree_lengths = {
-                self.packer.pack(code): length
-                for code, length in merged.items()
+            lengths = {
+                wider.pack(packer.unpack(key)): length
+                for key, length in lengths.items()
             }
+            codes = {wider.pack(code): code for code in subtree_delta}
+            packer = wider
+        self.packer = packer
+        self.rekeyed = packer is not base_view.packer
+        self._codes = codes
+        self._synced = len(subtree_delta)
+        self.subtree_lengths = _OverlayLengths(
+            lengths, codes, subtree_delta
+        )
+        self._lists: dict[str, tuple[int, PackedInvertedList | None]] = {}
+
+    def sync(self) -> bool:
+        """Pack the subtree codes new since the last sync.
+
+        Returns False when one does not fit the packer; the view is
+        then unusable and must be replaced.
+        """
+        subtree_delta = self._overlay.delta.subtree_delta
+        pack = self.packer.pack
+        try:
+            for code in islice(subtree_delta, self._synced, None):
+                self._codes[pack(code)] = code
+        except DeweyError:
+            return False
+        self._synced = len(subtree_delta)
+        return True
 
     def get(self, token: str) -> PackedInvertedList | None:
-        if not self._repacked and (
-            token not in self._overlay.delta.touched
-        ):
+        delta = self._overlay.delta
+        stamp = delta.touched.get(token)
+        if stamp is None and not self.rekeyed:
             return self._base_view.get(token)
-        if token in self._cache:
-            return self._cache[token]
-        merged = self._overlay.inverted.get(token)
-        packed = (
-            PackedInvertedList.from_inverted(merged, self.packer)
-            if merged is not None
-            else None
+        return _stamped(
+            self._lists, delta, token, stamp or 0, self._splice
         )
-        self._cache[token] = packed
-        return packed
+
+    def _splice(self, token: str) -> PackedInvertedList | None:
+        base = self._base_view.get(token)
+        if base is not None and self.rekeyed:
+            repack = self.packer.pack
+            unpack = self._base_view.packer.unpack
+            keys = [repack(unpack(key)) for key in base.keys]
+            base = PackedInvertedList(
+                token,
+                array("q", keys) if self.packer.fits_int64 else keys,
+                base.path_ids,
+                base.tfs,
+            )
+        delta = self._overlay.delta
+        return _splice_postings(
+            token,
+            base,
+            self.packer,
+            delta.cuts.get(token, ()),
+            delta.postings_add.get(token, ()),
+        )
 
 
 class OverlayVariantGenerator:
     """Incremental var_ε(q) over the overlay vocabulary.
 
     Rebuilding a deletion-neighborhood index over the merged
-    vocabulary after every update batch is O(|vocabulary|) — seconds
-    on a large corpus for a single-record delta.  Instead this wrapper
+    vocabulary after every update is O(|vocabulary|) — seconds on a
+    large corpus for a single-record delta.  Instead this wrapper
     probes the *base* generator (typically served zero-copy from the
-    snapshot's embedded FastSS sections), drops hits whose token the
-    delta removed from the vocabulary, and merges hits from a small
-    FastSS index over only the tokens the delta *added* — O(|touched|)
-    to construct.  The merged hit set is sorted ``(distance, token)``,
-    so results are identical to a generator built from scratch over
-    the merged vocabulary.
+    snapshot's embedded FastSS sections) and a small FastSS index over
+    the tokens the delta added to the vocabulary, and keeps only hits
+    still in the overlay vocabulary.  The merged hit set is sorted
+    ``(distance, token)``, so results are identical to a generator
+    built from scratch over the merged vocabulary.
+
+    One instance lives as long as its overlay (with its base generator
+    and that generator's memo).  :meth:`sync`, run by each refresh,
+    indexes only tokens that newly entered the vocabulary and clears
+    the memo only when membership changed, so installing a suggester
+    after an update costs nothing here.
     """
 
     def __init__(
@@ -693,22 +868,33 @@ class OverlayVariantGenerator:
         self.max_errors = max_errors
         self._base = base_generator
         self._vocabulary = overlay.vocabulary
-        base_vocabulary = overlay.base.vocabulary
-        added = sorted(
-            token
-            for token, adjust in overlay.delta.cf_delta.items()
-            if adjust > 0
-            and base_vocabulary.collection_frequency(token) == 0
-        )
-        self._added = (
-            FastSSIndex(added, max_errors=max_errors) if added else None
-        )
+        self._base_vocabulary = overlay.base.vocabulary
+        self._added = FastSSIndex((), max_errors=max_errors)
+        #: Membership of each synced token at its last sync.
+        self._present: dict[str, bool] = {}
         self.cache_size = cache_size
         self._cache: OrderedDict[
             tuple[str, int], tuple[Variant, ...]
         ] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
+        self.sync(overlay.delta.touched)
+
+    def sync(self, tokens: Iterable[str]) -> None:
+        """Follow the vocabulary membership of changed ``tokens``."""
+        vocabulary = self._vocabulary
+        in_base = self._base_vocabulary.collection_frequency
+        changed = False
+        for token in tokens:
+            present = token in vocabulary
+            if present == self._present.get(token, in_base(token) > 0):
+                continue
+            self._present[token] = present
+            changed = True
+            if present and in_base(token) == 0:
+                self._added.add_token(token)
+        if changed:
+            self._cache.clear()
 
     def variants(
         self, keyword: str, max_errors: int | None = None
@@ -729,8 +915,12 @@ class OverlayVariantGenerator:
             for variant in self._base.variants(keyword, eps)
             if variant.token in vocabulary
         ]
-        if self._added is not None:
-            merged.extend(self._added.variants(keyword, eps))
+        if len(self._added):
+            merged.extend(
+                variant
+                for variant in self._added.variants(keyword, eps)
+                if variant.token in vocabulary
+            )
             merged.sort()
         cached = tuple(merged)
         cache[key] = cached
@@ -760,9 +950,13 @@ class DeltaOverlayCorpus(QueryEngineMixin):
     Shares the base's (mutable, interning) path table so path ids are
     identical across base, overlay, and the eventual compacted
     snapshot of the same content.  Call :meth:`refresh` after folding
-    records into the delta — it bumps the cache generation so every
-    memoized merged list, packed column set, and intersection plan from
-    the previous delta version becomes unreachable.
+    records into the delta.  A refresh invalidates only what the new
+    records touched: per-token caches (packed and tuple lists, f_w^p
+    counts) check the token's stamp, and the merged-column memo and
+    merge plans lose just the variant sets holding a changed token.
+    The cache ``generation`` is bumped only when the delta outgrows the
+    packer, because then every packed key changes; snapshot swaps and
+    compaction install a different corpus object altogether.
     """
 
     def __init__(self, base, delta: DeltaSegment | None = None):
@@ -776,6 +970,9 @@ class DeltaOverlayCorpus(QueryEngineMixin):
         self.path_index = OverlayPathIndex(self)
         self._init_query_caches()
         self._packed_overlay: OverlayPackedView | None = None
+        self._generators: dict[
+            tuple[int, int], OverlayVariantGenerator
+        ] = {}
         self._node_counts: dict[int, int] | None = None
         self._totals: dict[int, float] | None = None
         self._subtree_counts: dict[DeweyCode, int] | None = None
@@ -784,13 +981,24 @@ class DeltaOverlayCorpus(QueryEngineMixin):
     # -- cache lifecycle ------------------------------------------------
 
     def refresh(self) -> None:
-        """Invalidate every memo after the delta changed."""
-        if self.delta.version != self._stats_version:
-            self._stats_version = self.delta.version
-            self._node_counts = None
-            self._totals = None
-            self._subtree_counts = None
+        """Bring the caches up to date after the delta changed."""
+        delta = self.delta
+        since = self._stats_version
+        if delta.version == since:
+            return
+        self._stats_version = delta.version
+        self._node_counts = None
+        self._totals = None
+        self._subtree_counts = None
+        changed = delta.changed_since(since)
+        for generator in self._generators.values():
+            generator.sync(changed)
+        view = self._packed_overlay
+        if view is not None and not view.sync():
+            self._packed_overlay = None
             self.bump_generation()
+        else:
+            self.evict_tokens(changed)
 
     # -- corpus surface -------------------------------------------------
 
@@ -854,7 +1062,7 @@ class DeltaOverlayCorpus(QueryEngineMixin):
     def packed_view(self) -> OverlayPackedView:
         self.refresh()
         view = self._packed_overlay
-        if view is None or view.version != self.delta.version:
+        if view is None:
             view = OverlayPackedView(self)
             self._packed_overlay = view
         return view
@@ -870,32 +1078,38 @@ class DeltaOverlayCorpus(QueryEngineMixin):
         """Variant generator over the overlay vocabulary.
 
         With no touched tokens the base generator (possibly served from
-        embedded FastSS sections) is returned; otherwise it is wrapped
-        in an :class:`OverlayVariantGenerator` — O(|touched|) to build,
-        never O(|vocabulary|) — so added tokens are suggestible
+        embedded FastSS sections) is returned; otherwise this overlay's
+        one :class:`OverlayVariantGenerator` for the radius, kept
+        current by :meth:`refresh` — so added tokens are suggestible
         immediately, fully deleted tokens never are, and installing a
-        fresh suggester after an update batch stays cheap enough to run
-        under the serving tier's compute lock.
+        fresh suggester after an update (under the serving tier's
+        compute lock) costs O(1) here.
         """
-        delta = self.delta
         base = self.base
-        if hasattr(base, "variant_generator"):
-            base_generator = base.variant_generator(
-                max_errors=max_errors, cache_size=cache_size
-            )
-            if not delta.touched:
-                return base_generator
-            return OverlayVariantGenerator(
-                self,
-                base_generator,
+        if not hasattr(base, "variant_generator"):
+            return VariantGenerator(
+                self.vocabulary.tokens(),
                 max_errors=max_errors,
                 cache_size=cache_size,
             )
-        return VariantGenerator(
-            self.vocabulary.tokens(),
-            max_errors=max_errors,
-            cache_size=cache_size,
-        )
+        if not self.delta.touched:
+            return base.variant_generator(
+                max_errors=max_errors, cache_size=cache_size
+            )
+        self.refresh()
+        key = (max_errors, cache_size)
+        generator = self._generators.get(key)
+        if generator is None:
+            generator = OverlayVariantGenerator(
+                self,
+                base.variant_generator(
+                    max_errors=max_errors, cache_size=cache_size
+                ),
+                max_errors=max_errors,
+                cache_size=cache_size,
+            )
+            self._generators[key] = generator
+        return generator
 
     def describe(self) -> dict:
         base_describe = getattr(self.base, "describe", None)

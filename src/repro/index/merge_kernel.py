@@ -195,6 +195,20 @@ class IntersectionCache:
             plans.popitem(last=False)
             self.evictions += 1
 
+    def evict_columns(self, uids: set[int]) -> None:
+        """Drop every plan over any of the merged columns ``uids``.
+
+        Plan keys end with the uid tuple of the columns the plan
+        intersects (``XCleanSuggester._merge_loop_kernel``); a column set
+        evicted from the corpus memo is never looked up again, so its
+        plans would only pin memory and LRU slots.
+        """
+        if not uids:
+            return
+        plans = self._plans
+        for key in [key for key in plans if not uids.isdisjoint(key[-1])]:
+            del plans[key]
+
     def clear(self) -> None:
         self._plans.clear()
 

@@ -15,9 +15,10 @@ truncated to k labels.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.index.inverted import Posting
+from repro.xmltree.dewey_packed import DeweyPacker
 from repro.xmltree.labelpath import PathTable
 
 
@@ -71,6 +72,43 @@ def path_counts_from_postings(
             ancestor_path = path_table.prefix_id(path_id, depth)
             counts[ancestor_path] = counts.get(ancestor_path, 0) + 1
         previous = dewey
+    return counts
+
+
+def path_counts_from_packed(
+    keys: Sequence[int],
+    path_ids: Sequence[int],
+    packer: DeweyPacker,
+    path_table: PathTable,
+) -> dict[int, int]:
+    """:func:`path_counts_from_postings` over packed columns.
+
+    The shared prefix of two consecutive codes is read off the highest
+    differing bit of their component blocks instead of a tuple walk:
+    zero padding never equals a real component, so the count of
+    leading equal components is exactly the shared depth.  A node's
+    depth is its label path's, so the new ancestors are the tail of the
+    path's prefix chain past the shared depth.
+    """
+    counts: dict[int, int] = {}
+    depth_bits = packer.depth_bits
+    bits = packer.component_bits
+    width = packer.max_depth
+    chains: dict[int, tuple[int, ...]] = {}
+    previous = 0
+    for key, path_id in zip(keys, path_ids):
+        components = key >> depth_bits
+        diff = (components ^ previous).bit_length()
+        shared = width - (diff + bits - 1) // bits
+        chain = chains.get(path_id)
+        if chain is None:
+            chain = chains[path_id] = tuple(
+                path_table.prefix_id(path_id, depth)
+                for depth in range(1, path_table.depth_of(path_id) + 1)
+            )
+        for ancestor_path in chain[shared:]:
+            counts[ancestor_path] = counts.get(ancestor_path, 0) + 1
+        previous = components
     return counts
 
 

@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.server import SuggestionService
 from repro.exceptions import UpdateError
+from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import build_corpus_index
 from repro.index.delta import (
     DeltaOverlayCorpus,
@@ -254,6 +256,257 @@ class TestSuggestionEquivalence:
             base.close()
 
 
+def answers(suggestions):
+    return [dataclasses.astuple(s) for s in suggestions]
+
+
+def snapshot_service(tmp_path, document):
+    """A live-update service over a v3 snapshot of ``document``."""
+    path = str(tmp_path / "live.xcs3")
+    build_snapshot(build_corpus_index(document), path)
+    service = SuggestionService(
+        load_snapshot(path), config=XCleanConfig(max_errors=2)
+    )
+    service.enable_live_updates(document)
+    return service
+
+
+def random_record(rng, document, protected):
+    """One random add/update/delete against the current document.
+
+    Books in ``protected`` are never updated or deleted.  Adds under a
+    deleted book's placeholder reuse the Dewey codes of the base nodes
+    it replaced; retitles of a replaced book nest a tombstone under an
+    earlier one.
+    """
+    words = WORDS + ["zephyr", "quasar", "nebula"]
+    books = document.root.children
+    live = [
+        ordinal for ordinal, node in enumerate(books, 1)
+        if node.children and ordinal not in protected
+    ]
+    choice = rng.random()
+    if choice < 0.35 or not live:
+        return WalRecord(
+            op="add", dewey=(1,),
+            subtree=node_to_json(
+                book(" ".join(rng.sample(words, 3)), rng.choice(words))
+            ),
+        )
+    if choice < 0.45:
+        return WalRecord(
+            op="add", dewey=(1, rng.randrange(1, len(books) + 1)),
+            subtree=node_to_json(
+                el("note", text=" ".join(rng.sample(words, 2)))
+            ),
+        )
+    target = (1, rng.choice(live))
+    if choice < 0.65:
+        return WalRecord(op="delete", dewey=target)
+    if choice < 0.8:
+        return WalRecord(
+            op="update", dewey=target + (1,),
+            subtree=node_to_json(
+                el("title", text=" ".join(rng.sample(words, 2)))
+            ),
+        )
+    return WalRecord(
+        op="update", dewey=target,
+        subtree=node_to_json(
+            book(" ".join(rng.sample(words, 2)), rng.choice(words))
+        ),
+    )
+
+
+def path_counts(corpus, token):
+    """f_w^p of ``token`` keyed by label path string."""
+    string_of = corpus.path_table.string_of
+    return {
+        string_of(pid): count
+        for pid, count in corpus.path_index.counts_for(token).items()
+    }
+
+
+class TestInterleavedUpdates:
+    """Overlay caches that span many delta versions stay exact.
+
+    Records go one at a time through ``SuggestionService.apply_updates``
+    over a snapshot base, so each version's queries read merged
+    columns, merge plans, per-token lists, f_w^p counts and variant
+    memos built at earlier versions.
+    """
+
+    QUERIES = QUERIES + ("zanziber quasr", "cod", "nebla zephir")
+    PROBES = (
+        "speling", "sugestion", "serach", "databse", "dewei", "cod",
+        "codd", "zanziber", "zanzibar", "quaser", "nebla", "notte",
+    )
+
+    def test_every_version_matches_rebuild(self, tmp_path):
+        rng = random.Random(20110413)
+        document = base_document()
+        service = snapshot_service(tmp_path, document)
+        try:
+            live = service.live
+            base_vocabulary = live.base.vocabulary
+            assert base_vocabulary.collection_frequency("codd") > 0
+            zanzibar = len(document.root.children) + 1
+            scripted = {
+                # Book 1.1 is the only home of "codd".
+                0: WalRecord(op="delete", dewey=(1, 1)),
+                1: WalRecord(
+                    op="add", dewey=(1,),
+                    subtree=node_to_json(book("zanzibar quasar", "pat")),
+                ),
+                24: WalRecord(op="delete", dewey=(1, zanzibar)),
+                30: WalRecord(
+                    op="add", dewey=(1,),
+                    subtree=node_to_json(book("codd relational", "ted")),
+                ),
+            }
+            protected = {zanzibar}
+            overlay = generator = None
+            for step in range(40):
+                record = scripted.get(step) or random_record(
+                    rng, live.document, protected
+                )
+                if step == 24:
+                    protected.clear()
+                assert service.apply_updates([record]) == 1
+                if overlay is None:
+                    overlay = service.corpus
+                    generator = overlay.variant_generator(max_errors=2)
+                assert service.corpus is overlay
+                # One generator serves every install.
+                assert service.suggester.generator is generator
+                assert overlay.variant_generator(max_errors=2) is generator
+                reference = build_corpus_index(live.document)
+                for token in reference.vocabulary.tokens():
+                    # Path ids differ once the delta interns new paths
+                    # in another order; compare by path string.
+                    assert path_counts(overlay, token) == (
+                        path_counts(reference, token)
+                    ), (step, token)
+                expected = VariantGenerator(
+                    reference.vocabulary.tokens(), max_errors=2
+                )
+                for keyword in self.PROBES:
+                    assert generator.variants(keyword) == (
+                        expected.variants(keyword)
+                    ), (step, keyword)
+                for engine, kernel in ENGINES:
+                    config = XCleanConfig(
+                        engine=engine, merge_kernel=kernel
+                    )
+                    mine = XCleanSuggester(overlay, config=config)
+                    theirs = XCleanSuggester(reference, config=config)
+                    for query in self.QUERIES:
+                        assert answers(mine.suggest(query, 5)) == (
+                            answers(theirs.suggest(query, 5))
+                        ), (step, engine, kernel, query)
+                for query in self.QUERIES:
+                    assert answers(service.suggest(query, 5)) == (
+                        answers(XCleanSuggester(reference).suggest(
+                            query, 5
+                        ))
+                    ), (step, query)
+                vocabulary = overlay.vocabulary
+                if step == 1:
+                    assert "codd" not in vocabulary
+                    assert "zanzibar" in vocabulary
+                elif step == 24:
+                    assert "zanzibar" not in vocabulary
+                elif step == 30:
+                    assert "codd" in vocabulary
+            # Plans recorded at earlier versions were replayed.
+            assert overlay.intersection_cache.hits > 0
+        finally:
+            service.close()
+
+
+class TestTargetedEviction:
+    """A refresh evicts only what the new records changed."""
+
+    def test_untouched_variant_set_stays_warm(self, tmp_path):
+        service = snapshot_service(tmp_path, base_document())
+        try:
+            service.apply_updates([OPS[0]])
+            overlay = service.corpus
+            generation = overlay.generation
+            plans = overlay.intersection_cache
+
+            def suggest(query):
+                return XCleanSuggester(overlay).suggest(query, 5)
+
+            def uid(keyword):
+                tokens = overlay.variant_generator(
+                    max_errors=2
+                ).variant_tokens(keyword)
+                return overlay.merged_list_packed(tokens).columns.uid
+
+            suggest("salton")
+            suggest("speling")
+            warm, cold = uid("salton"), uid("speling")
+            assert len(plans) == 2
+            # Retitle book 1.3: "spelling" moves (its posting is cut
+            # and re-added) but stays in the vocabulary, so "speling"
+            # keeps its variant set; "salton" is untouched.
+            service.apply_updates([
+                WalRecord(
+                    op="update", dewey=(1, 3, 1),
+                    subtree=node_to_json(
+                        el("title", text="valid spelling hints")
+                    ),
+                )
+            ])
+            assert service.corpus is overlay
+            assert overlay.generation == generation
+            assert len(plans) == 1
+            assert uid("salton") == warm
+            assert uid("speling") != cold
+            hits, misses = plans.hits, plans.misses
+            suggest("salton")
+            assert (plans.hits, plans.misses) == (hits + 1, misses)
+            suggest("speling")
+            assert (plans.hits, plans.misses) == (hits + 1, misses + 1)
+        finally:
+            service.close()
+
+    def test_outgrown_packer_rekeys_and_bumps_generation(self, tmp_path):
+        document = base_document()
+        path = str(tmp_path / "grow.xcs3")
+        build_snapshot(build_corpus_index(document), path)
+        base = load_snapshot(path)
+        try:
+            # Four books: root child ordinals fit in three bits.
+            assert base.packed_view().packer.component_bits == 3
+            copy = document_from_json(document_to_json(document))
+            segment = DeltaSegment()
+            overlay = DeltaOverlayCorpus(base, segment)
+            for ordinal in range(5, 10):
+                record = WalRecord(
+                    op="add", dewey=(1,),
+                    subtree=node_to_json(
+                        book(f"{WORDS[ordinal]} clean", "knuth")
+                    ),
+                )
+                result = apply_record(copy, record)
+                assert result.new.dewey == (1, ordinal)
+                segment.apply(result, base.tokenizer, base.path_table)
+                overlay.refresh()
+                # Ordinal 8 needs a fourth bit: re-key, bump once.
+                assert overlay.generation == (1 if ordinal >= 8 else 0)
+                assert overlay.packed_view().rekeyed == (ordinal >= 8)
+                reference = build_corpus_index(copy)
+                for query in QUERIES:
+                    for engine, kernel in ENGINES:
+                        assert topk(overlay, query, engine, kernel) == (
+                            topk(reference, query, engine, kernel)
+                        ), (ordinal, query, engine, kernel)
+        finally:
+            base.close()
+
+
 class TestOverlayVariantGenerator:
     """Incremental var_ε(q): O(|touched|) to build, exact output.
 
@@ -278,7 +531,6 @@ class TestOverlayVariantGenerator:
         return base, overlay, applied
 
     def test_matches_full_rebuild(self, tmp_path):
-        from repro.fastss.generator import VariantGenerator
         from repro.index.delta import OverlayVariantGenerator
 
         base, overlay, applied = self.overlay_on_snapshot(
