@@ -1,30 +1,28 @@
-"""Hot-path benchmark — packed engine and batch serving vs the seed.
+"""Hot-path benchmark — the merge kernel and batch serving, absolute.
 
 Measures, on the synthetic DBLP dataset:
 
-* single-query latency of ``XCleanSuggester.suggest`` under the tuple
-  (seed, reference) and packed (columnar, int-keyed) engines, with warm
-  variant/merged-list caches — queries/sec, p50/p95 latency, and
+* single-query latency of ``XCleanSuggester.suggest`` with warm
+  variant/merged-list/plan caches — queries/sec, p50/p95 latency, and
   postings consumed per second;
-* **merge-stage time** of the batch merge kernel (galloping
-  intersection + plan cache + in-loop γ-pruning) against the classic
-  per-group bisect loop, isolated via the stage metrics (merge-stage
-  seconds minus the score share measured inside it), after first
-  asserting that the kernel's top-k is *byte-identical* to the classic
-  loop on every workload query — both engines, pruning on and off;
-* batch throughput of ``SuggestionService.suggest_batch`` (packed
-  engine + result cache) against the tuple engine serving the same
-  trace query by query.  The trace repeats each workload query
+* **merge-only time per query** of Algorithm 1's merge loop (galloping
+  intersection + plan cache + in-loop γ-pruning) over the warm passes,
+  isolated via the stage metrics: the ``merge`` stage covers the whole
+  loop and ``score`` is observed from inside it, so ``merge - score``
+  is exactly the anchor scans, skips, group drains and entry
+  materialization;
+* batch throughput of ``SuggestionService.suggest_batch`` (result
+  cache on) over a trace that repeats each workload query
   ``TRACE_REPEATS`` times in a shuffled order, the usual shape of a
   production query log (head queries recur).
 
-Shapes asserted at the ``default`` scale: the packed engine answers
-single queries >= 2x faster, the merge kernel spends <= 1/2 the
-classic loop's merge-stage time, and the serving layer sustains >= 4x
-the tuple engine's batch throughput.  At the smoke scales the corpus
-is tiny, per-query fixed costs dominate, and only relaxed bounds are
-asserted.
+Before timing anything, every workload query is checked on four runs
+of the merge loop — cold, plan replay, ``kernel_pruning=False`` and
+``use_skipping=False`` — which must return byte-identical top-k, and
+against the ``NaiveCleaner`` oracle at γ=None (relative 1e-9).
 
+The figures are absolute; ``benchmarks/compare.py`` gates
+``merge.merge_only_ms_per_query`` against the committed baseline.
 Results are emitted both as text (``out/hotpath.txt``) and as
 machine-readable JSON (``out/BENCH_hotpath.json``).  Run as a script::
 
@@ -45,25 +43,17 @@ if __package__ is None or __package__ == "":
 
 from _common import OUT_DIR, bench_scale, emit
 
+from repro.core.naive import NaiveCleaner
 from repro.core.server import SuggestionService
 from repro.eval.experiments import dblp_setting
 from repro.eval.reporting import format_table, shape_check
 from repro.obs.metrics import MetricsRegistry
 
-#: Timed passes over the workload per engine (latencies are pooled).
+#: Timed passes over the workload (latencies are pooled).
 REPETITIONS = 3
 
 #: How often each query recurs in the batch trace.
 TRACE_REPEATS = 3
-
-#: Speedup floors asserted per scale: (single-query, batch throughput).
-FLOORS = {"default": (2.0, 4.0), "small": (1.1, 2.0)}
-
-#: Merge-stage speedup floor (classic loop time / kernel time) per
-#: scale.  The 2x bar is the kernel's acceptance criterion at the
-#: default scale; the smoke corpora spend microseconds in the merge
-#: stage and only a sanity bound is asserted.
-MERGE_FLOORS = {"default": 2.0, "small": 1.05, "smoke": 1.05}
 
 
 def percentile(values, fraction):
@@ -80,9 +70,58 @@ def workload_queries(setting):
     ]
 
 
-def bench_single(setting, engine, queries):
-    """Per-query latencies and postings/sec for one engine."""
-    suggester = setting.xclean(engine=engine)
+def rows_of(suggestions):
+    return [(s.tokens, s.score, s.result_type) for s in suggestions]
+
+
+def verify_outputs(setting, queries):
+    """Cold == replay == unpruned == linear (byte-identical) on every
+    workload query, and == ``NaiveCleaner`` at γ=None (1e-9).  Raises
+    on any mismatch; returns the number of queries checked."""
+    kernel = setting.xclean()
+    variants = {
+        "kernel_pruning=False": setting.xclean(kernel_pruning=False),
+        "use_skipping=False": setting.xclean(use_skipping=False),
+    }
+    for query in queries:
+        cold = rows_of(kernel.suggest(query, 10))
+        runs = {"replay": rows_of(kernel.suggest(query, 10))}
+        for label, suggester in variants.items():
+            runs[label] = rows_of(suggester.suggest(query, 10))
+        for label, rows in runs.items():
+            if rows != cold:
+                raise AssertionError(
+                    f"{label} output differs from the cold kernel run "
+                    f"for {query!r}"
+                )
+    unbounded = setting.xclean(gamma=None)
+    oracle = NaiveCleaner(
+        setting.corpus,
+        generator=setting.generator.fresh_cache(),
+        config=unbounded.config,
+    )
+    for query in queries:
+        fast = unbounded.score_all(query)
+        naive = {
+            c: s for c, s in oracle.score_all(query).items() if s > 0
+        }
+        if set(fast) != set(naive):
+            raise AssertionError(
+                f"candidate set differs from NaiveCleaner for {query!r}"
+            )
+        for candidate, score in fast.items():
+            want = naive[candidate]
+            if abs(score - want) > 1e-9 * abs(want):
+                raise AssertionError(
+                    f"score drifted from NaiveCleaner for {query!r} "
+                    f"{candidate}: {score} vs {want}"
+                )
+    return len(queries)
+
+
+def bench_single(setting, queries):
+    """Per-query latencies and postings/sec, warm caches."""
+    suggester = setting.xclean()
     for query in queries:  # warm caches: variants, merged lists, types
         suggester.suggest(query, 10)
     latencies = []
@@ -112,136 +151,64 @@ def _stage_totals(registry):
     }
 
 
-def verify_kernel_outputs(setting, queries):
-    """Kernel == classic (byte-identical), == tuple (1e-9), on every
-    workload query, pruning on and off.  Raises on any mismatch."""
-    checked = 0
-    reference = setting.xclean(engine="tuple")
-    ref_out = {
-        query: [
-            (s.tokens, s.score, s.result_type)
-            for s in reference.suggest(query, 10)
-        ]
-        for query in queries
-    }
-    for pruning in (True, False):
-        kernel = setting.xclean(kernel_pruning=pruning)
-        classic = setting.xclean(
-            merge_kernel=False, kernel_pruning=pruning
-        )
-        for query in queries:
-            got = [
-                (s.tokens, s.score, s.result_type)
-                for s in kernel.suggest(query, 10)
-            ]
-            want = [
-                (s.tokens, s.score, s.result_type)
-                for s in classic.suggest(query, 10)
-            ]
-            if got != want:
-                raise AssertionError(
-                    f"kernel output differs from classic loop for "
-                    f"{query!r} (kernel_pruning={pruning})"
-                )
-            ref = ref_out[query]
-            if [g[0] for g in got] != [r[0] for r in ref]:
-                raise AssertionError(
-                    f"kernel top-k differs from tuple engine for "
-                    f"{query!r}"
-                )
-            for g, r in zip(got, ref):
-                if abs(g[1] - r[1]) > 1e-9 * max(1.0, abs(r[1])):
-                    raise AssertionError(
-                        f"kernel score drifted from tuple engine for "
-                        f"{query!r}: {g} vs {r}"
-                    )
-            checked += 1
-    return checked
-
-
 def bench_merge(setting, queries):
-    """Merge-stage seconds: batch kernel vs the classic bisect loop.
+    """Merge-only seconds of the merge loop over the warm passes.
 
-    The merge stage timer covers the whole Algorithm 1 loop with the
-    scoring share reported separately (``score`` is observed from
-    inside it), so ``merge - score`` isolates exactly the work the
-    kernel replaces: anchor scans, skips, group drains, and entry
-    materialization.  Both variants get the same warm start and cache
-    bounds sized to the workload, so the comparison is intersect vs
-    replay — the kernel's intended steady state.
+    Cache bounds are sized to the workload and every query is run once
+    before timing, so the timed passes measure the loop's intended
+    steady state: plan replays.
     """
     plan_capacity = max(64, 4 * len(queries))
-    results = {}
-    for label, overrides in (
-        ("classic", {"merge_kernel": False}),
-        ("kernel", {}),
-    ):
-        registry = MetricsRegistry()
-        suggester = setting.xclean(
-            merged_cache_size=plan_capacity,
-            intersection_cache_size=plan_capacity,
-            **overrides,
-        )
-        suggester.metrics = registry
-        for query in queries:  # warm: variants, columns, plans, types
-            suggester.suggest(query, 10)
-        before = _stage_totals(registry)
-        pruned = plan_hits = 0
-        for _ in range(REPETITIONS):
-            for query in queries:
-                suggester.suggest(query, 10)
-                pruned += suggester.last_stats.kernel_pruned
-                plan_hits += (
-                    suggester.last_stats.intersection_cache_hits
-                )
-        after = _stage_totals(registry)
-        merge_s = after.get("merge", 0.0) - before.get("merge", 0.0)
-        score_s = after.get("score", 0.0) - before.get("score", 0.0)
-        results[label] = {
-            "merge_stage_s": merge_s,
-            "score_share_s": score_s,
-            "merge_only_s": merge_s - score_s,
-            "plan_cache_hits": plan_hits,
-            "kernel_pruned": pruned,
-        }
-    results["speedup"] = (
-        results["classic"]["merge_only_s"]
-        / max(results["kernel"]["merge_only_s"], 1e-9)
+    registry = MetricsRegistry()
+    suggester = setting.xclean(
+        merged_cache_size=plan_capacity,
+        intersection_cache_size=plan_capacity,
     )
-    return results
+    suggester.metrics = registry
+    for query in queries:  # warm: variants, columns, plans, types
+        suggester.suggest(query, 10)
+    before = _stage_totals(registry)
+    pruned = plan_hits = 0
+    for _ in range(REPETITIONS):
+        for query in queries:
+            suggester.suggest(query, 10)
+            pruned += suggester.last_stats.kernel_pruned
+            plan_hits += suggester.last_stats.intersection_cache_hits
+    after = _stage_totals(registry)
+    merge_s = after.get("merge", 0.0) - before.get("merge", 0.0)
+    score_s = after.get("score", 0.0) - before.get("score", 0.0)
+    merge_only_s = merge_s - score_s
+    return {
+        "merge_stage_s": merge_s,
+        "score_share_s": score_s,
+        "merge_only_s": merge_only_s,
+        "merge_only_ms_per_query": (
+            1e3 * merge_only_s / (REPETITIONS * len(queries))
+        ),
+        "plan_cache_hits": plan_hits,
+        "kernel_pruned": pruned,
+    }
 
 
 def bench_batch(setting, queries):
-    """Batch throughput: packed serving layer vs tuple query-by-query."""
+    """Batch throughput of the service over a repeating trace."""
     trace = queries * TRACE_REPEATS
     random.Random(7).shuffle(trace)
-
-    tuple_engine = setting.xclean(engine="tuple")
-    for query in queries:
-        tuple_engine.suggest(query, 10)  # same warm start as singles
-    began = time.perf_counter()
-    for query in trace:
-        tuple_engine.suggest(query, 10)
-    tuple_elapsed = time.perf_counter() - began
-
     service = SuggestionService(
         setting.corpus,
-        config=setting.xclean(engine="packed").config,
+        config=setting.xclean().config,
         generator=setting.generator.fresh_cache(),
     )
     for query in queries:
         # Warm the variant/merged caches through the underlying
-        # suggester — the same warm start the tuple baseline got —
-        # without seeding the service's result cache.
+        # suggester without seeding the service's result cache.
         service.suggester.suggest(query, 10)
     began = time.perf_counter()
     service.suggest_batch(trace, 10)
     service_elapsed = time.perf_counter() - began
-
     return {
         "trace_queries": len(trace),
         "unique_queries": len(set(trace)),
-        "tuple_queries_per_sec": len(trace) / tuple_elapsed,
         "service_queries_per_sec": len(trace) / service_elapsed,
         "result_cache_hits": service.stats.result_cache_hits,
         "result_cache_misses": service.stats.result_cache_misses,
@@ -252,21 +219,10 @@ def run(scale):
     setting = dblp_setting("small" if scale == "smoke" else scale)
     queries = workload_queries(setting)
 
-    identical = verify_kernel_outputs(setting, queries)
-    single = {
-        engine: bench_single(setting, engine, queries)
-        for engine in ("tuple", "packed")
-    }
-    single_speedup = (
-        single["packed"]["queries_per_sec"]
-        / single["tuple"]["queries_per_sec"]
-    )
+    checked = verify_outputs(setting, queries)
+    single = bench_single(setting, queries)
     merge = bench_merge(setting, queries)
     batch = bench_batch(setting, queries)
-    batch_ratio = (
-        batch["service_queries_per_sec"]
-        / batch["tuple_queries_per_sec"]
-    )
 
     report = {
         "benchmark": "hotpath",
@@ -275,10 +231,10 @@ def run(scale):
         "corpus": setting.corpus.describe(),
         "workload_queries": len(queries),
         "repetitions": REPETITIONS,
-        "kernel_identical_outputs_checked": identical,
-        "single": {**single, "speedup": single_speedup},
+        "identical_outputs_checked": checked,
+        "single": single,
         "merge": merge,
-        "batch": {**batch, "throughput_ratio": batch_ratio},
+        "batch": batch,
     }
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_hotpath.json").write_text(
@@ -286,49 +242,15 @@ def run(scale):
         encoding="utf-8",
     )
 
-    table = format_table(
-        ("Engine", "q/s", "mean ms", "p50 ms", "p95 ms", "postings/s"),
-        [
-            (
-                engine,
-                round(stats["queries_per_sec"], 1),
-                stats["mean_ms"],
-                stats["p50_ms"],
-                stats["p95_ms"],
-                round(stats["postings_per_sec"]),
-            )
-            for engine, stats in single.items()
-        ],
-        title=f"Hot path — single queries ({scale} scale)",
-    )
-    single_floor, batch_floor = FLOORS.get(scale, FLOORS["small"])
-    merge_floor = MERGE_FLOORS.get(scale, MERGE_FLOORS["small"])
-    merge_speedup = merge["speedup"]
     checks = [
         shape_check(
-            f"packed engine >= {single_floor}x faster per query "
-            f"({single_speedup:.2f}x)",
-            single_speedup >= single_floor,
-        ),
-        shape_check(
-            f"kernel outputs byte-identical to classic loop "
-            f"({identical} query evaluations)",
-            identical == 2 * len(queries),
-        ),
-        shape_check(
-            f"merge kernel >= {merge_floor}x faster on the merge "
-            f"stage ({merge_speedup:.2f}x)",
-            merge_speedup >= merge_floor,
+            f"cold, replay, unpruned and linear runs byte-identical, "
+            f"NaiveCleaner within 1e-9 ({checked} queries)",
+            checked == len(queries),
         ),
         shape_check(
             "plan cache absorbed the warm merge passes",
-            merge["kernel"]["plan_cache_hits"]
-            >= REPETITIONS * len(queries) * 0.9,
-        ),
-        shape_check(
-            f"batch serving >= {batch_floor}x tuple throughput "
-            f"({batch_ratio:.2f}x)",
-            batch_ratio >= batch_floor,
+            merge["plan_cache_hits"] >= REPETITIONS * len(queries) * 0.9,
         ),
         shape_check(
             "result cache absorbed the repeated trace queries",
@@ -336,35 +258,43 @@ def run(scale):
             >= (TRACE_REPEATS - 1) * batch["unique_queries"] * 0.9,
         ),
     ]
-    merge_table = format_table(
-        ("Merge loop", "merge-only ms", "score ms", "plan hits"),
-        [
-            (
-                label,
-                round(1e3 * merge[label]["merge_only_s"], 2),
-                round(1e3 * merge[label]["score_share_s"], 2),
-                merge[label]["plan_cache_hits"],
-            )
-            for label in ("classic", "kernel")
-        ],
-        title=(
-            f"Merge stage — {REPETITIONS} warm passes, "
-            f"{len(queries)} queries, "
-            f"speedup {merge_speedup:.2f}x"
-        ),
-    )
     emit(
         "hotpath",
-        table
+        format_table(
+            ("q/s", "mean ms", "p50 ms", "p95 ms", "postings/s"),
+            [
+                (
+                    round(single["queries_per_sec"], 1),
+                    single["mean_ms"],
+                    single["p50_ms"],
+                    single["p95_ms"],
+                    round(single["postings_per_sec"]),
+                )
+            ],
+            title=f"Hot path — single queries ({scale} scale)",
+        )
         + "\n"
-        + merge_table
+        + format_table(
+            ("merge-only ms/query", "merge-only ms", "score ms",
+             "plan hits"),
+            [
+                (
+                    round(merge["merge_only_ms_per_query"], 4),
+                    round(1e3 * merge["merge_only_s"], 2),
+                    round(1e3 * merge["score_share_s"], 2),
+                    merge["plan_cache_hits"],
+                )
+            ],
+            title=(
+                f"Merge stage — {REPETITIONS} warm passes, "
+                f"{len(queries)} queries"
+            ),
+        )
         + "\n"
         + format_table(
             ("Serving mode", "q/s"),
             [
-                ("tuple, one by one", round(
-                    batch["tuple_queries_per_sec"], 1)),
-                ("packed service, batch", round(
+                ("service, batch", round(
                     batch["service_queries_per_sec"], 1)),
             ],
             title=(
@@ -384,9 +314,9 @@ def test_hotpath(benchmark):
     run(bench_scale())
 
     record = setting.workloads["RAND"][0]
-    packed = setting.xclean(engine="packed")
+    suggester = setting.xclean()
     benchmark.pedantic(
-        lambda: packed.suggest(record.dirty_text, 10),
+        lambda: suggester.suggest(record.dirty_text, 10),
         rounds=3,
         iterations=1,
     )
@@ -394,7 +324,7 @@ def test_hotpath(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hot-path benchmark (packed engine, merge kernel)"
+        description="Hot-path benchmark (merge loop, batch serving)"
     )
     parser.add_argument(
         "--scale",

@@ -35,7 +35,7 @@ from pathlib import Path
 #: Direction says which way is better; the threshold is applied on the
 #: losing side only (a speedup may grow freely, a latency may shrink).
 HEADLINES = (
-    ("BENCH_hotpath.json", "merge.speedup", "higher", "default"),
+    ("BENCH_hotpath.json", "merge.merge_only_ms_per_query", "lower", "default"),
     ("BENCH_load.json", "open_loop.p99_ms", "lower", "default"),
     ("BENCH_update.json", "ack.ack_p50_ms", "lower", "small"),
 )

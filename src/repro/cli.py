@@ -128,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="entity prior of Eq. 8 (node-type semantics only)",
     )
-    suggest.add_argument(
-        "--engine",
-        choices=("packed", "tuple"),
-        default="packed",
-        help="query engine: packed-int columnar lists or the "
-        "reference tuple lists (identical output)",
-    )
 
     explain = sub.add_parser(
         "explain",
@@ -150,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--gamma", type=int, default=1000)
     explain.add_argument(
         "--prior", choices=("uniform", "length"), default="uniform"
-    )
-    explain.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
     )
     explain.add_argument(
         "--format",
@@ -176,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--beta", type=float, default=5.0)
     trace.add_argument("--max-errors", type=int, default=2)
     trace.add_argument("--gamma", type=int, default=1000)
-    trace.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
-    )
     trace.add_argument(
         "--format",
         choices=("text", "chrome", "jsonl"),
@@ -206,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--beta", type=float, default=5.0)
     batch.add_argument("--max-errors", type=int, default=2)
     batch.add_argument("--gamma", type=int, default=1000)
-    batch.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
-    )
     batch.add_argument(
         "--workers", type=int, default=None,
         help="process-pool width (default: in-process serial)",
@@ -254,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--beta", type=float, default=5.0)
     metrics.add_argument("--max-errors", type=int, default=2)
     metrics.add_argument("--gamma", type=int, default=1000)
-    metrics.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
-    )
     metrics.add_argument(
         "--workers", type=int, default=None,
         help="process-pool width (default: in-process serial)",
@@ -328,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("-k", type=int, default=5)
     chaos.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
-    )
-    chaos.add_argument(
         "--workers", type=int, default=None,
         help="process-pool width (default: in-process serial)",
     )
@@ -392,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--beta", type=float, default=5.0)
     serve.add_argument("--max-errors", type=int, default=2)
     serve.add_argument("--gamma", type=int, default=1000)
-    serve.add_argument(
-        "--engine", choices=("packed", "tuple"), default="packed"
-    )
     serve.add_argument(
         "--result-cache-size", type=int, default=None,
         help="whole-result LRU capacity (default: service default; "
@@ -646,7 +621,6 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         beta=args.beta,
         gamma=args.gamma,
         prior=args.prior,
-        engine=args.engine,
     )
     if args.semantics == "slca":
         suggester = SLCACleanSuggester(corpus, config=config)
@@ -673,7 +647,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         beta=args.beta,
         gamma=args.gamma,
         prior=args.prior,
-        engine=args.engine,
     )
     suggester = XCleanSuggester(corpus, config=config)
     explanation = suggester.suggest_explained(args.query, args.k)
@@ -692,7 +665,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         max_errors=args.max_errors,
         beta=args.beta,
         gamma=args.gamma,
-        engine=args.engine,
     )
     tracer = Tracer()
     suggester = XCleanSuggester(corpus, config=config, tracer=tracer)
@@ -741,7 +713,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             max_errors=args.max_errors,
             beta=args.beta,
             gamma=args.gamma,
-            engine=args.engine,
         ),
         worker_timeout=args.worker_timeout,
         **service_kwargs,
@@ -838,7 +809,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             max_errors=args.max_errors,
             beta=args.beta,
             gamma=args.gamma,
-            engine=args.engine,
         ),
         metrics=registry,
     ) as service:
@@ -917,7 +887,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("(no queries)")
         return 0
     config = XCleanConfig(
-        engine=args.engine,
         deadline_seconds=args.deadline,
         fault_plan=args.plan,
         fault_seed=args.seed,
@@ -997,7 +966,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_errors=args.max_errors,
             beta=args.beta,
             gamma=args.gamma,
-            engine=args.engine,
             deadline_seconds=args.deadline,
             fault_plan=args.plan,
             fault_seed=args.seed,

@@ -11,7 +11,9 @@ candidate queries simultaneously:
    keyword, so no later group can contribute.
 
 2. *Skipping* (Lines 7–8): every MergedList skips to g, jumping over
-   whole subtrees that cannot contain a full candidate match.
+   whole subtrees that cannot contain a full candidate match
+   (galloping search; ``use_skipping=False`` steps linearly instead,
+   the Section V-C ablation).
 
 3. *Group collection* (Lines 9–11): all variant occurrences inside g
    are drained into per-keyword hash tables.
@@ -34,7 +36,6 @@ non-empty results.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from time import perf_counter
 
 from repro.core.candidates import CandidateQuery, CandidateSpace
@@ -48,13 +49,13 @@ from repro.core.suggestion import CleaningStats, Suggestion
 from repro.exceptions import QueryError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import CorpusIndex
-from repro.index.merge_kernel import GroupRun, MergePlan, gallop_left
-from repro.index.merged_list import (
-    MergedEntry,
-    MergedList,
-    PackedEntry,
-    PackedMergedList,
+from repro.index.merge_kernel import (
+    GroupRun,
+    MergePlan,
+    gallop_left,
+    scan_left,
 )
+from repro.index.merged_list import PackedEntry, PackedMergedList
 from repro.obs.explain import (
     EntityContribution,
     GroupContribution,
@@ -66,7 +67,7 @@ from repro.obs.explain import (
 from repro.obs.faults import active as _active_faults
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER, Span
-from repro.xmltree.dewey import DeweyCode, format_code
+from repro.xmltree.dewey import format_code
 
 
 logger = logging.getLogger(__name__)
@@ -233,9 +234,7 @@ class XCleanSuggester:
         if tracer.enabled and tracer.current() is None:
             # No service owns a trace for this query: the suggester
             # roots its own (in-process / direct API use).
-            tracer.begin(
-                "suggest", query=query, engine=self.config.engine
-            )
+            tracer.begin("suggest", query=query)
             try:
                 return self._run_inner(query)
             finally:
@@ -294,45 +293,40 @@ class XCleanSuggester:
         if space.is_viable:
             # The merge stage covers the whole Algorithm 1 loop, entity
             # scoring included; "score" reports the scoring share.
-            with metrics.stage("merge"), tracer.span("merge"):
-                if self.config.engine == "packed":
-                    merged: list = [
-                        self.corpus.merged_list_packed(
-                            space.variant_tokens(i)
-                        )
-                        for i in range(len(keywords))
-                    ]
-                    self._merge_loop_packed(merged, space, pool, stats)
-                else:
-                    merged = [
-                        self.corpus.merged_list(space.variant_tokens(i))
-                        for i in range(len(keywords))
-                    ]
-                    self._merge_loop_tuple(merged, space, pool, stats)
+            with metrics.stage("merge"), tracer.span("merge") as span:
+                merged = [
+                    self.corpus.merged_list_packed(space.variant_tokens(i))
+                    for i in range(len(keywords))
+                ]
+                self._merge_loop_kernel(merged, space, pool, stats)
                 if tracer.enabled:
                     tracer.annotate(
                         groups=stats.groups_processed,
                         candidates=stats.candidates_evaluated,
                         entities=stats.entities_scored,
                     )
+                    if self._score_seconds:
+                        # Scoring runs inside the merge loop in many
+                        # small bursts; one aggregated child of "merge"
+                        # shows how much of the merge time it took.
+                        tracer.attach(
+                            Span(
+                                "score",
+                                start=(
+                                    span.start if span is not None
+                                    else None
+                                ),
+                                duration=self._score_seconds,
+                                attributes={"aggregated": True},
+                            )
+                        )
             # postings_read/postings_skipped are set *inside* the merge
-            # loops, atomically with the cursor write-back at loop exit
+            # loop, atomically with the cursor write-back at loop exit
             # — re-summing here (after the stage timer closed) could
             # observe a half-consumed list on a deadline-expired
             # partial, inconsistent with groups_processed.
             if metrics.enabled and self._score_seconds:
                 metrics.observe_stage("score", self._score_seconds)
-            if tracer.enabled and self._score_seconds:
-                # Scoring happens inside the merge loop in many small
-                # bursts; expose the total as one aggregated span so
-                # the tree shows where the merge time actually went.
-                tracer.attach(
-                    Span(
-                        "score",
-                        duration=self._score_seconds,
-                        attributes={"aggregated": True},
-                    )
-                )
         stats.accumulator_evictions = pool.evictions
         # Per-query deltas: on a long-lived service the finder's
         # counters (and cache) span many queries.
@@ -368,223 +362,6 @@ class XCleanSuggester:
                 len(pool),
             )
         return pool
-
-    def _merge_loop_tuple(
-        self,
-        merged: list[MergedList],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-    ) -> None:
-        """Algorithm 1 over the reference tuple-based merged lists."""
-        min_depth = self.config.min_depth
-        deadline = self._deadline
-        faults = _active_faults()
-        faults_enabled = faults.enabled
-        try:
-            while True:
-                if deadline is not None and deadline.expired():
-                    # Anytime exit: the accumulator already holds the
-                    # best answer derivable from the groups processed
-                    # so far.
-                    stats.partial = True
-                    self.tracer.event("deadline_expired", stage="merge")
-                    return
-                if faults_enabled:
-                    faults.hit("merge.step")
-                anchor = None
-                exhausted = False
-                for ml in merged:
-                    head = ml.head_dewey()
-                    if head is None:
-                        # Some keyword exhausted: no group helps.
-                        exhausted = True
-                        break
-                    if anchor is None or head > anchor:
-                        anchor = head
-                if exhausted or anchor is None:
-                    return
-                if len(anchor) < min_depth:
-                    # Occurrence too shallow to sit under any valid
-                    # entity: consume it wherever it is and move on.
-                    self._consume_shallow(merged, anchor)
-                    continue
-                group = anchor[:min_depth]
-                occurrences = self._collect_group(merged, group, stats)
-                if occurrences is None:
-                    continue
-                stats.groups_processed += 1
-                self._score_group(group, occurrences, space, pool, stats)
-        finally:
-            # Atomic with loop exit (normal, deadline, or fault): the
-            # counters always describe exactly the work done so far.
-            stats.postings_read = sum(ml.total_reads for ml in merged)
-            stats.postings_skipped = sum(ml.total_skips for ml in merged)
-
-    def _consume_shallow(
-        self, merged: list[MergedList], anchor: DeweyCode
-    ) -> None:
-        """Drop a head entry that is too shallow to matter.
-
-        The anchor is the maximal head, so normally some list's head
-        equals it; consuming that head guarantees progress.  If no head
-        matches (defensive: a subclass or a concurrent mutation could
-        desynchronize the anchor), consume the maximal head instead —
-        silently doing nothing here would spin Algorithm 1's outer loop
-        forever on the same anchor.
-        """
-        fallback = None
-        fallback_head = None
-        for ml in merged:
-            head = ml.head_dewey()
-            if head is None:
-                continue
-            if head == anchor:
-                ml.next()
-                return
-            if fallback_head is None or head > fallback_head:
-                fallback, fallback_head = ml, head
-        if fallback is not None:
-            fallback.next()
-
-    def _skip_to(self, ml: MergedList, target: DeweyCode):
-        """skip_to with the configured strategy (ablation switch)."""
-        if self.config.use_skipping:
-            return ml.skip_to(target)
-        head = ml.cur_pos()
-        while head is not None and head[0] < target:
-            ml.next()
-            head = ml.cur_pos()
-        return head
-
-    def _collect_group(
-        self,
-        merged: list[MergedList],
-        group: DeweyCode,
-        stats: CleaningStats,
-    ) -> list[dict[str, list[MergedEntry]]] | None:
-        """Drain all occurrences under ``group`` (Lines 7–11).
-
-        Returns ``None`` when some keyword has no occurrence in the
-        group (no candidate can be formed there); the entries are
-        consumed either way, exactly as in the paper.
-        """
-        occurrences: list[dict[str, list[MergedEntry]]] = []
-        missing = False
-        for ml in merged:
-            by_token: dict[str, list[MergedEntry]] = {}
-            self._skip_to(ml, group)
-            for entry in ml.pop_subtree(group):
-                by_token.setdefault(entry[3], []).append(entry)
-            if not by_token:
-                missing = True
-            occurrences.append(by_token)
-        return None if missing else occurrences
-
-    def _score_group(
-        self,
-        group: DeweyCode,
-        occurrences: list[dict[str, list[MergedEntry]]],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-    ) -> None:
-        """Enumerate and score the group's candidates (Lines 12–15)."""
-        metrics = self.metrics
-        score_began = perf_counter() if metrics.enabled else 0.0
-        table = self.corpus.path_table
-        entity_cache: dict[
-            tuple[int, str, int], dict[DeweyCode, int]
-        ] = {}
-
-        def entity_counts(
-            position: int, token: str, pid: int, depth: int
-        ) -> dict[DeweyCode, int]:
-            key = (position, token, pid)
-            cached = entity_cache.get(key)
-            if cached is not None:
-                return cached
-            counts: dict[DeweyCode, int] = {}
-            for dewey, path_id, tf, _token in occurrences[position][token]:
-                if len(dewey) < depth:
-                    continue
-                if table.prefix_id(path_id, depth) != pid:
-                    continue
-                root = dewey[:depth]
-                counts[root] = counts.get(root, 0) + tf
-            entity_cache[key] = counts
-            return counts
-
-        deadline = self._deadline
-        recorder = self._recorder
-        present = [list(by_token) for by_token in occurrences]
-        for candidate in space.enumerate_present(present):
-            if deadline is not None and deadline.expired():
-                # Accumulator boundary: stop scoring further candidates
-                # of this group; whatever was added already is valid.
-                stats.partial = True
-                self.tracer.event("deadline_expired", stage="score")
-                break
-            stats.candidates_evaluated += 1
-            pid = self.type_finder.find(candidate)
-            if pid is None:
-                continue
-            depth = table.depth_of(pid)
-            per_keyword = [
-                entity_counts(position, token, pid, depth)
-                for position, token in enumerate(candidate)
-            ]
-            if any(not counts for counts in per_keyword):
-                continue
-            entities = set(min(per_keyword, key=len))
-            for counts in per_keyword:
-                entities &= counts.keys()
-            if not entities:
-                continue
-            length_prior = self.config.prior == "length"
-            mass = 0.0
-            # Sorted so both engines accumulate in document order and
-            # produce bit-identical sums.
-            for root in sorted(entities):
-                stats.entities_scored += 1
-                length = self.corpus.subtree_length(root)
-                product = 1.0
-                for position, token in enumerate(candidate):
-                    product *= self.language_model.probability(
-                        token, per_keyword[position][root], length
-                    )
-                # Under the uniform prior every entity weighs 1 (and
-                # the normalizer is N); under the length prior weight
-                # is |D(r)| with normalizer W_p = Σ |D(r)| (Eq. 8).
-                mass += (length if length_prior else 1.0) * product
-            if length_prior:
-                normalizer = self.corpus.path_token_totals().get(
-                    pid, 0.0
-                )
-            else:
-                normalizer = float(self.corpus.entity_count(pid))
-            error_weight = space.error_weight(candidate)
-            if recorder is not None:
-                recorder.group(
-                    candidate,
-                    pid,
-                    error_weight,
-                    normalizer,
-                    self._group_contribution(
-                        format_code(group),
-                        candidate,
-                        sorted(entities),
-                        per_keyword,
-                        length_prior,
-                        mass,
-                        self.corpus.subtree_length,
-                        self.language_model.probability,
-                        format_code,
-                    ),
-                )
-            pool.add(candidate, mass, error_weight, normalizer, pid)
-        if metrics.enabled:
-            self._score_seconds += perf_counter() - score_began
 
     def _group_contribution(
         self,
@@ -639,158 +416,12 @@ class XCleanSuggester:
         )
 
     # ------------------------------------------------------------------
-    # Algorithm 1 — packed engine
+    # The merge loop
     # ------------------------------------------------------------------
     #
-    # Mirrors the tuple path above, but every Dewey code is a packed
-    # int: anchor selection compares machine ints, the group test is a
-    # shift, prefix truncation is a mask, and subtree lengths are read
-    # from an int-keyed dict.  The two paths intentionally share their
-    # structure line for line so they stay reviewable side by side.
-
-    def _merge_loop_packed(
-        self,
-        merged: list[PackedMergedList],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-    ) -> None:
-        """Algorithm 1 over the columnar packed merged lists.
-
-        Dispatches between three loop bodies with identical output:
-        the batch merge kernel (galloping intersection, plan cache,
-        in-loop γ-pruning — the default), the classic per-group bisect
-        loop (``merge_kernel=False``; the kernel's equivalence
-        baseline), and the generic cursor loop (``use_skipping=False``
-        ablation: every posting read linearly).
-        """
-        if not self.config.use_skipping:
-            # Ablation path: read entries one by one via the generic
-            # cursor methods so skipped-vs-read counters stay honest.
-            self._merge_loop_packed_generic(merged, space, pool, stats)
-            return
-        if self.config.merge_kernel:
-            self._merge_loop_kernel(merged, space, pool, stats)
-            return
-        self._merge_loop_packed_classic(merged, space, pool, stats)
-
-    def _merge_loop_packed_classic(
-        self,
-        merged: list[PackedMergedList],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-    ) -> None:
-        """The pre-kernel packed merge loop (``merge_kernel=False``).
-
-        The cursor state (position, reads, skips) of every merged list
-        is hoisted into locals for the duration of the loop and written
-        back on exit: the loop body then runs on plain ints, list
-        indexing, and C-level ``bisect_left`` with no method-call
-        overhead per group.  A subtree is a contiguous key range —
-        ``[group, upper)`` where ``upper`` bumps the group's prefix —
-        so skipping to the group and draining it are two bisects.
-        """
-        view = self.corpus.packed_view()
-        packer = view.packer
-        min_depth = self.config.min_depth
-        depth_mask = (1 << packer.depth_bits) - 1
-        group_shift = packer.shift_for(min_depth)
-        num = len(merged)
-        columns = [ml.columns for ml in merged]
-        key_columns = [c.keys for c in columns]
-        lengths = [c.length for c in columns]
-        positions = [ml.position for ml in merged]
-        reads = [0] * num
-        skips = [0] * num
-        starts = [0] * num
-        score_group = self._score_group_packed
-        indices = range(num)
-        deadline = self._deadline
-        faults = _active_faults()
-        faults_enabled = faults.enabled
-        try:
-            while True:
-                if deadline is not None and deadline.expired():
-                    # Anytime exit; the finally block writes the
-                    # cursor state back, so counters stay honest.
-                    stats.partial = True
-                    self.tracer.event(
-                        "deadline_expired", stage="merge"
-                    )
-                    return
-                if faults_enabled:
-                    faults.hit("merge.step")
-                anchor = -1
-                for i in indices:
-                    position = positions[i]
-                    if position >= lengths[i]:
-                        # Some keyword exhausted: no further group helps.
-                        return
-                    head = key_columns[i][position]
-                    if head > anchor:
-                        anchor = head
-                if (anchor & depth_mask) < min_depth:
-                    # Shallow head: it is some list's head by
-                    # construction; consume it and move on.
-                    for i in indices:
-                        if key_columns[i][positions[i]] == anchor:
-                            positions[i] += 1
-                            reads[i] += 1
-                            break
-                    continue
-                prefix_bits = anchor >> group_shift
-                group = (prefix_bits << group_shift) | min_depth
-                upper = (prefix_bits + 1) << group_shift
-                # Pass 1: locate every list's slice of the group with
-                # two bisects; entries are *consumed* (and counted)
-                # either way, exactly as in the paper.
-                missing = False
-                for i in indices:
-                    keys = key_columns[i]
-                    start = bisect_left(
-                        keys, group, positions[i], lengths[i]
-                    )
-                    end = bisect_left(keys, upper, start, lengths[i])
-                    skips[i] += start - positions[i]
-                    reads[i] += end - start
-                    starts[i] = start
-                    positions[i] = end
-                    if end == start:
-                        missing = True
-                if missing:
-                    # Some keyword absent from the group: no candidate
-                    # can form here, so never materialize the entries.
-                    continue
-                # Pass 2: materialize entries, grouped by token.
-                occurrences: list[dict[str, list[PackedEntry]]] = []
-                for i in indices:
-                    keys = key_columns[i]
-                    cols = columns[i]
-                    path_ids = cols.path_ids
-                    tfs = cols.tfs
-                    token_ids = cols.token_ids
-                    tokens = cols.tokens
-                    by_token: dict[str, list[PackedEntry]] = {}
-                    for j in range(starts[i], positions[i]):
-                        token = tokens[token_ids[j]]
-                        entry = (keys[j], path_ids[j], tfs[j], token)
-                        found = by_token.get(token)
-                        if found is None:
-                            by_token[token] = [entry]
-                        else:
-                            found.append(entry)
-                    occurrences.append(by_token)
-                stats.groups_processed += 1
-                score_group(occurrences, space, pool, stats, view, group)
-        finally:
-            for i in indices:
-                ml = merged[i]
-                ml.position = positions[i]
-                ml.reads += reads[i]
-                ml.skips += skips[i]
-            stats.postings_read = sum(ml.total_reads for ml in merged)
-            stats.postings_skipped = sum(ml.total_skips for ml in merged)
+    # Every Dewey code is a packed int: anchor selection compares
+    # machine ints, the group test is a shift, prefix truncation is a
+    # mask, and subtree lengths are read from an int-keyed dict.
 
     def _merge_loop_kernel(
         self,
@@ -799,10 +430,10 @@ class XCleanSuggester:
         pool: AccumulatorPool,
         stats: CleaningStats,
     ) -> None:
-        """Batch merge kernel: Algorithm 1 as whole-group runs.
+        """Algorithm 1 over the packed merged lists, as whole-group runs.
 
-        Three changes over the classic loop, none visible in the
-        output:
+        The only merge loop; none of its three accelerations is
+        visible in the output:
 
         * **Galloping intersection** — cursors advance by exponential
           probe from the current position plus a bisect in the probed
@@ -814,11 +445,17 @@ class XCleanSuggester:
           generation, so it is recorded on first evaluation and
           replayed from the corpus's ``IntersectionCache`` afterwards
           (``_replay_plan``), skipping the intersection entirely.
-        * **In-loop γ-pruning** — scoring runs with ``prune=True``:
-          once the accumulator table is saturated, candidates whose
-          score upper bound falls strictly below the table's floor are
-          dropped before materializing entity counts (see
-          ``_score_group_packed``).
+        * **In-loop γ-pruning** — once the accumulator table is
+          saturated, candidates whose score upper bound falls strictly
+          below the table's floor are dropped before materializing
+          entity counts (see ``_score_group_packed``).
+
+        ``use_skipping=False`` (the Section V-C ablation) swaps the
+        advance for ``merge_kernel.scan_left``, which steps one key at
+        a time: every posting a cursor passes counts as read, so
+        ``postings_skipped`` stays 0, and the plan cache is neither
+        read nor written — a replay would hide the linear scan the
+        ablation exists to time.
 
         Counter contract: per-run read/skip *deltas* are recorded in
         the plan so a replay — even one cut short by a deadline —
@@ -832,10 +469,13 @@ class XCleanSuggester:
         depth_mask = (1 << packer.depth_bits) - 1
         num = len(merged)
         columns = [ml.columns for ml in merged]
+        skipping = self.config.use_skipping
+        advance = gallop_left if skipping else scan_left
         cache = getattr(corpus, "intersection_cache", None)
         plan_key = None
         if (
-            cache is not None
+            skipping
+            and cache is not None
             and cache.enabled
             and not any(ml.position for ml in merged)
         ):
@@ -911,10 +551,10 @@ class XCleanSuggester:
                 missing = False
                 for i in indices:
                     keys = key_columns[i]
-                    start = gallop_left(
+                    start = advance(
                         keys, group, positions[i], lengths[i]
                     )
-                    end = gallop_left(keys, upper, start, lengths[i])
+                    end = advance(keys, upper, start, lengths[i])
                     skipped = start - positions[i]
                     consumed = end - start
                     skips[i] += skipped
@@ -946,10 +586,7 @@ class XCleanSuggester:
                     run_reads = [0] * num
                     run_skips = [0] * num
                 stats.groups_processed += 1
-                score_group(
-                    occurrences, space, pool, stats, view, group,
-                    prune=True,
-                )
+                score_group(occurrences, space, pool, stats, view, group)
             if plan_key is not None and not stats.partial:
                 # Only cleanly exhausted intersections are cached; a
                 # deadline or fault exit leaves the loop via return or
@@ -964,6 +601,10 @@ class XCleanSuggester:
                     ),
                 )
         finally:
+            if not skipping:
+                # A linear advance reads every posting it passes.
+                reads = [r + s for r, s in zip(reads, skips)]
+                skips = [0] * num
             for i in indices:
                 ml = merged[i]
                 ml.position = positions[i]
@@ -1020,7 +661,7 @@ class XCleanSuggester:
                 stats.groups_processed += 1
                 score_group(
                     list(run.occurrences), space, pool, stats, view,
-                    run.key, prune=True,
+                    run.key,
                 )
             # Trailing entries past the last complete group (shallow
             # heads, partial groups, exhaustion tail).
@@ -1040,105 +681,6 @@ class XCleanSuggester:
             stats.postings_read = sum(ml.total_reads for ml in merged)
             stats.postings_skipped = sum(ml.total_skips for ml in merged)
 
-    def _merge_loop_packed_generic(
-        self,
-        merged: list[PackedMergedList],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-    ) -> None:
-        """Packed merge loop over the generic cursor methods."""
-        view = self.corpus.packed_view()
-        packer = view.packer
-        min_depth = self.config.min_depth
-        depth_mask = (1 << packer.depth_bits) - 1
-        group_shift = packer.shift_for(min_depth)
-        deadline = self._deadline
-        faults = _active_faults()
-        faults_enabled = faults.enabled
-        try:
-            while True:
-                if deadline is not None and deadline.expired():
-                    stats.partial = True
-                    self.tracer.event("deadline_expired", stage="merge")
-                    return
-                if faults_enabled:
-                    faults.hit("merge.step")
-                anchor = None
-                exhausted = False
-                for ml in merged:
-                    head = ml.head_key()
-                    if head is None:
-                        exhausted = True
-                        break
-                    if anchor is None or head > anchor:
-                        anchor = head
-                if exhausted or anchor is None:
-                    return
-                if (anchor & depth_mask) < min_depth:
-                    self._consume_shallow_packed(merged, anchor)
-                    continue
-                group = packer.prefix(anchor, min_depth)
-                occurrences = self._collect_group_packed(
-                    merged, group, group_shift
-                )
-                if occurrences is None:
-                    continue
-                stats.groups_processed += 1
-                self._score_group_packed(
-                    occurrences, space, pool, stats, view, group
-                )
-        finally:
-            stats.postings_read = sum(ml.total_reads for ml in merged)
-            stats.postings_skipped = sum(ml.total_skips for ml in merged)
-
-    def _consume_shallow_packed(
-        self, merged: list[PackedMergedList], anchor: int
-    ) -> None:
-        """Packed twin of :meth:`_consume_shallow` (same progress fix)."""
-        fallback = None
-        fallback_head = None
-        for ml in merged:
-            head = ml.head_key()
-            if head is None:
-                continue
-            if head == anchor:
-                ml.next()
-                return
-            if fallback_head is None or head > fallback_head:
-                fallback, fallback_head = ml, head
-        if fallback is not None:
-            fallback.next()
-
-    def _skip_to_packed(self, ml: PackedMergedList, target: int):
-        """skip_to with the configured strategy (ablation switch)."""
-        if self.config.use_skipping:
-            return ml.skip_to(target)
-        head = ml.head_key()
-        while head is not None and head < target:
-            ml.next()
-            head = ml.head_key()
-        return ml.cur_pos()
-
-    def _collect_group_packed(
-        self,
-        merged: list[PackedMergedList],
-        group: int,
-        group_shift: int,
-    ) -> list[dict[str, list[PackedEntry]]] | None:
-        """Drain all occurrences under ``group`` (Lines 7–11)."""
-        occurrences: list[dict[str, list[PackedEntry]]] = []
-        missing = False
-        for ml in merged:
-            by_token: dict[str, list[PackedEntry]] = {}
-            self._skip_to_packed(ml, group)
-            for entry in ml.pop_subtree(group, group_shift):
-                by_token.setdefault(entry[3], []).append(entry)
-            if not by_token:
-                missing = True
-            occurrences.append(by_token)
-        return None if missing else occurrences
-
     def _score_group_packed(
         self,
         occurrences: list[dict[str, list[PackedEntry]]],
@@ -1146,13 +688,12 @@ class XCleanSuggester:
         pool: AccumulatorPool,
         stats: CleaningStats,
         view,
-        group: int | None = None,
-        prune: bool = False,
+        group: int,
     ) -> None:
         """Enumerate and score the group's candidates (Lines 12–15).
 
-        With ``prune=True`` (kernel path only) the γ-bound of Section
-        V-D is applied *before* materializing entity counts: once the
+        With ``kernel_pruning`` on, the γ-bound of Section V-D is
+        applied *before* materializing entity counts: once the
         accumulator table is saturated, its floor — the minimal
         estimate among resident candidates, a monotone non-decreasing
         quantity — is a permanent lower bound on admission.  A
@@ -1167,8 +708,10 @@ class XCleanSuggester:
         length prior weights entities by subtree size, so the bound
         does not hold and pruning self-disables.
         """
-        metrics = self.metrics
-        score_began = perf_counter() if metrics.enabled else 0.0
+        # Timed for the "score" stage histogram and the aggregated
+        # "score" span alike.
+        timed = self.metrics.enabled or self.tracer.enabled
+        score_began = perf_counter() if timed else 0.0
         table = self.corpus.path_table
         packer = view.packer
         depth_bits = packer.depth_bits
@@ -1201,8 +744,7 @@ class XCleanSuggester:
         deadline = self._deadline
         recorder = self._recorder
         kernel_pruning = (
-            prune
-            and self.config.kernel_pruning
+            self.config.kernel_pruning
             and pool.capacity is not None
             and self.config.prior == "uniform"
         )
@@ -1211,8 +753,8 @@ class XCleanSuggester:
         present = [list(by_token) for by_token in occurrences]
         for candidate in space.enumerate_present(present):
             if deadline is not None and deadline.expired():
-                # Accumulator boundary (same contract as the tuple
-                # engine's score loop).
+                # Accumulator boundary: stop scoring further candidates
+                # of this group; whatever was added already is valid.
                 stats.partial = True
                 self.tracer.event("deadline_expired", stage="score")
                 break
@@ -1262,9 +804,9 @@ class XCleanSuggester:
             length_prior = self.config.prior == "length"
             probability = self.language_model.probability
             mass = 0.0
-            # Packed keys sort exactly like their tuples, so this
-            # accumulates in the same order as the tuple engine and the
-            # sums are bit-identical.
+            # Packed keys sort exactly like their Dewey tuples: entities
+            # accumulate in document order, so live runs, replays and
+            # the linear mode produce bit-identical sums.
             for root in sorted(entities):
                 stats.entities_scored += 1
                 length = subtree_lengths.get(root, 0)
@@ -1289,11 +831,7 @@ class XCleanSuggester:
                     error_weight,
                     normalizer,
                     self._group_contribution(
-                        (
-                            format_code(unpack(group))
-                            if group is not None
-                            else "?"
-                        ),
+                        format_code(unpack(group)),
                         candidate,
                         sorted(entities),
                         per_keyword,
@@ -1305,5 +843,5 @@ class XCleanSuggester:
                     ),
                 )
             pool.add(candidate, mass, error_weight, normalizer, pid)
-        if metrics.enabled:
+        if timed:
             self._score_seconds += perf_counter() - score_began

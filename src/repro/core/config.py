@@ -27,17 +27,14 @@ class XCleanConfig:
         min_depth: d — minimal depth threshold (Section V-B).
         gamma: γ — in-memory accumulator budget (Section V-D);
             ``None`` disables pruning.
-        use_skipping: enable skip_to in Algorithm 1; disabling it reads
-            every posting linearly (ablation: same output, more I/O).
+        use_skipping: galloping skip_to in Algorithm 1 (Lines 7-8);
+            ``False`` runs the same merge with a linear advance that
+            reads every posting it passes and bypasses the plan cache
+            (the Section V-C ablation: same output, more I/O).
         prior: the entity prior P(r_j|T) of Eq. 8 — ``"uniform"``
             (the paper's 1/N) or ``"length"`` (∝ |D(r)|: longer
             entities are a priori likelier targets; the generalization
             the paper notes is "easily" available).
-        engine: the Algorithm 1 substrate — ``"packed"`` runs over
-            columnar posting lists keyed by packed-int Dewey codes
-            (the fast path), ``"tuple"`` over the original tuple-based
-            lists (the reference path; kept for equivalence testing
-            and ablation).  Both produce identical suggestions.
         type_cache_size: LRU bound of the per-candidate result-type
             cache (``ResultTypeFinder``); ``None`` removes the bound.
     """
@@ -50,21 +47,11 @@ class XCleanConfig:
     gamma: int | None = 1000
     use_skipping: bool = True
     prior: str = "uniform"
-    engine: str = "packed"
-    #: Run the packed engine through the batch merge kernel (galloping
-    #: intersection + generation-keyed plan cache, ``index/
-    #: merge_kernel``).  ``False`` keeps the classic per-group bisect
-    #: loop — the reference for the kernel's byte-identical-output
-    #: guarantee and the baseline of ``bench_hotpath``'s merge-stage
-    #: floor.  Only effective with ``engine="packed"`` and
-    #: ``use_skipping=True``.
-    merge_kernel: bool = True
     #: In-loop γ-pruning: candidates whose score upper bound falls
     #: strictly below the saturated accumulator table's floor are never
     #: materialized or scored (provably the same table the pool would
     #: have produced, so top-k and scores are unchanged).  Effective
-    #: only on the kernel path, with finite ``gamma``, under the
-    #: uniform prior.
+    #: only with finite ``gamma``, under the uniform prior.
     kernel_pruning: bool = True
     #: LRU bound of the corpus's merged-columns memo (physically merged
     #: per-variant-set posting columns); ``None`` removes the bound.
@@ -123,8 +110,6 @@ class XCleanConfig:
             )
         if self.prior not in ("uniform", "length"):
             raise ConfigurationError(f"unknown prior {self.prior!r}")
-        if self.engine not in ("packed", "tuple"):
-            raise ConfigurationError(f"unknown engine {self.engine!r}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError(
                 "deadline_seconds must be > 0 or None"

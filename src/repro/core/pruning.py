@@ -310,7 +310,7 @@ class AccumulatorPool:
         every token character) is exactly the space-joined suggestion
         string ascending.  This total order is part of the public
         contract: it makes suggestion lists reproducible across runs,
-        engines, and shard counts, so a scatter-gather merge sorted by
+        skipping modes, and shard counts, so a scatter-gather merge sorted by
         the same ``(-score, candidate)`` key is byte-identical to a
         single-index run.
         """

@@ -93,7 +93,6 @@ class DatasetSetting:
         min_depth: int = 2,
         use_skipping: bool = True,
         max_errors: int = EVAL_MAX_ERRORS,
-        engine: str = "packed",
         **overrides,
     ) -> XCleanSuggester:
         return XCleanSuggester(
@@ -105,7 +104,6 @@ class DatasetSetting:
                 gamma=gamma,
                 min_depth=min_depth,
                 use_skipping=use_skipping,
-                engine=engine,
                 **overrides,
             ),
         )

@@ -107,7 +107,8 @@ class QueryEngineMixin:
     Both the in-memory :class:`CorpusIndex` and the mmap-backed
     :class:`~repro.index.snapshot.SnapshotCorpusIndex` expose the same
     accessors to the suggesters: memoized merged-list construction over
-    the tuple and packed engines, precomputed Eq. 8 normalizers, and a
+    the tuple lists (offline readers) and the packed columns (the merge
+    loop), precomputed Eq. 8 normalizers, and a
     metrics binding for the cache counters.  Subclasses must provide
     ``inverted``, ``path_node_counts``, ``path_token_totals_map``,
     ``max_depth``, and ``packed_view()``; the mixin owns the caches.

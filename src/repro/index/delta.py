@@ -15,8 +15,9 @@ subtree operations on top of it:
   token's posting list;
 * :class:`DeltaOverlayCorpus` exposes the merged view through the
   standard :class:`~repro.index.corpus.QueryEngineMixin` surface, so
-  the tuple engine, the packed classic loop, and the merge kernel all
-  consume it unchanged via ``merged_list`` / ``merged_list_packed``.
+  the merge loop (``merged_list_packed``) and the tuple readers —
+  ``NaiveCleaner``, SLCA/ELCA, entity search, PY08 (``merged_list`` /
+  ``inverted``) — consume it unchanged.
   Its caches invalidate per token, by stamp (see
   :meth:`DeltaOverlayCorpus.refresh`).
 
@@ -32,7 +33,7 @@ corpus is the applied logical document, placeholders included.
 **Exactness.**  Every statistic the XClean scoring path reads is
 adjusted exactly, so overlay top-k results are byte-identical to a
 from-scratch rebuild of the applied document (the crash-recovery tests
-assert this across engines, kernel modes, and shard counts).  The one
+assert this in both skipping modes and across shard counts).  The one
 documented approximation is the PY08 baseline's ``max_relative_tf``:
 a delete cannot lower a base maximum without a global scan, so the
 overlay only ever raises it; compaction restores the exact value.
@@ -523,7 +524,7 @@ def _stamped(cache: dict, delta: DeltaSegment, token: str, stamp: int,
 
 
 class OverlayInvertedIndex:
-    """Token → posting list view for the tuple engine.
+    """Token → tuple posting list view for the offline readers.
 
     Untouched tokens are served zero-copy from the base; a touched
     token's list is its packed overlay list (:class:`OverlayPackedView`)

@@ -153,16 +153,17 @@ class ListCursor:
 # Columnar (packed) posting lists — the fast query engine
 # ----------------------------------------------------------------------
 #
-# The tuple-based classes above are the reference implementation; the
-# packed classes below store the same postings as three parallel columns
-# so the hot operations run on machine integers:
+# The tuple-based classes above serve the offline readers (NaiveCleaner,
+# SLCA/ELCA, entity search); the packed class below stores the same
+# postings as three parallel columns so the merge loop runs on machine
+# integers:
 #
 # * ``keys``  — packed Dewey codes (``array('q')`` when they fit in 64
 #   bits, else a plain list of big ints), numerically document-ordered;
 # * ``path_ids`` / ``tfs`` — ``array('i')`` side columns.
 #
-# ``skip_to`` gallops over the int column with C-level ``bisect`` (no
-# ``key=`` extractor), and the merged list's heap holds plain ints.
+# The merge loop gallops over the merged key column with C-level
+# ``bisect`` (``index/merge_kernel.gallop_left``, no ``key=`` extractor).
 
 
 class PackedInvertedList:
@@ -200,53 +201,3 @@ class PackedInvertedList:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def first_at_or_after(self, key: int, start: int = 0) -> int:
-        """Index of the first posting with packed key >= ``key``.
-
-        Same galloping-then-binary contract as
-        :meth:`InvertedList.first_at_or_after`, but over an int column.
-        """
-        keys = self.keys
-        n = len(keys)
-        if start >= n or keys[start] >= key:
-            return start
-        step = 1
-        lo = start
-        hi = start + 1
-        while hi < n and keys[hi] < key:
-            lo = hi
-            step *= 2
-            hi = min(n, hi + step)
-        return bisect_left(keys, key, lo + 1, hi)
-
-
-class PackedListCursor:
-    """Read cursor over one packed list (mirrors :class:`ListCursor`)."""
-
-    __slots__ = ("source", "position", "reads", "skips", "_keys",
-                 "_length")
-
-    def __init__(self, source: PackedInvertedList):
-        self.source = source
-        self.position = 0
-        self.reads = 0
-        self.skips = 0
-        self._keys = source.keys
-        self._length = len(source.keys)
-
-    def exhausted(self) -> bool:
-        return self.position >= self._length
-
-    def head_key(self) -> int | None:
-        """Packed key under the cursor, or ``None`` when exhausted."""
-        if self.position >= self._length:
-            return None
-        return self._keys[self.position]
-
-    def skip_to(self, key: int) -> int | None:
-        """Discard postings with key < ``key``; return the new head."""
-        new_position = self.source.first_at_or_after(key, self.position)
-        self.skips += new_position - self.position
-        self.position = new_position
-        return self.head_key()

@@ -2,9 +2,9 @@
 
 Algorithm 1's merge loop repeatedly asks one question of every merged
 variant list: *where does the current subtree group start and end in
-your key column?*  The classic packed loop answers with a full-range
-``bisect_left`` per probe; this module supplies the two layers that
-make the question (almost) free:
+your key column?*  A full-range ``bisect_left`` per probe would answer
+it in O(log n); this module supplies the two layers that make the
+question (almost) free:
 
 * :func:`gallop_left` — an exponential-probe ("galloping") search that
   brackets the target from the cursor's current position before handing
@@ -23,6 +23,9 @@ make the question (almost) free:
   columns, min_depth)``.  A cache hit replays the plan: no anchor
   scans, no bisects, no per-posting materialization — just one
   deadline/fault check and one scoring call per group.
+
+:func:`scan_left` is the linear advance of the ``use_skipping=False``
+ablation: the same answer as :func:`gallop_left`, one key at a time.
 
 Plans record *deltas*, not just totals, so a deadline can expire
 mid-replay and the postings read/skipped counters still agree with the
@@ -66,6 +69,18 @@ def gallop_left(keys, target: int, lo: int, hi: int) -> int:
         probe = lo + step
     # Answer lies in (prev, min(probe, hi)].
     return bisect_left(keys, target, prev + 1, min(probe, hi))
+
+
+def scan_left(keys, target: int, lo: int, hi: int) -> int:
+    """First index in ``[lo, hi)`` whose key is ``>= target``, by scan.
+
+    Same result as :func:`gallop_left`, reached by stepping one key at
+    a time — the advance of Algorithm 1 without skipping (Section V-C
+    ablation), whose cost grows with every posting passed over.
+    """
+    while lo < hi and keys[lo] < target:
+        lo += 1
+    return lo
 
 
 class GroupRun:

@@ -26,7 +26,6 @@ from repro.index.inverted import (
     ListCursor,
     PackedInvertedList,
 )
-from repro.index.merge_kernel import gallop_left
 from repro.xmltree.dewey import DeweyCode
 
 #: An entry of the merged list: (dewey, path_id, tf, token).
@@ -161,11 +160,11 @@ class PackedMergedColumns:
     once into four parallel columns sorted by key.  Two consequences
     make the query-time cursor trivial:
 
-    * ``skip_to`` is a single C-level bisect over the key column — no
-      per-member galloping, no heap rebuild;
+    * skipping to a key is one galloping search over the key column —
+      no per-member search, no heap rebuild;
     * every subtree is a *contiguous* key range (descendants of a node
       share its packed prefix and nothing else sorts between them), so
-      ``pop_subtree`` pops one slice found by a second bisect.
+      draining a subtree group takes one slice found by a second search.
 
     The merge is paid once per variant set and memoized on the corpus;
     :class:`PackedMergedList` cursors share the columns.
@@ -215,8 +214,8 @@ class PackedMergedColumns:
         The group-collection step of Algorithm 1 (Lines 9-11) in one
         call: entries come out in column (document) order within each
         token list, which is what keeps candidate enumeration — and
-        hence score accumulation — deterministic across the classic
-        loop, the kernel, and plan replays.
+        hence score accumulation — deterministic across live runs, the
+        linear (no-skipping) mode, and plan replays.
         """
         keys = self.keys
         path_ids = self.path_ids
@@ -236,125 +235,29 @@ class PackedMergedColumns:
 
 
 class PackedMergedList:
-    """Cursor over the physically merged variant lists of one keyword.
+    """Cursor state over the physically merged variant lists of one keyword.
 
-    Same contract as :class:`MergedList`, but the merge already
-    happened at construction (:class:`PackedMergedColumns`), so every
-    operation is a position bump or a bisect over an int column.
-    Entries are ``(packed_key, path_id, tf, token)``.
+    The merge already happened at construction
+    (:class:`PackedMergedColumns`); Algorithm 1's merge loop
+    (``XCleanSuggester._merge_loop_kernel``) advances ``position`` over
+    the shared columns itself and writes back the postings it read and
+    skipped.
     """
 
     __slots__ = ("columns", "position", "reads", "skips")
 
-    def __init__(
-        self,
-        lists: Iterable[PackedInvertedList] | None = None,
-        *,
-        columns: PackedMergedColumns | None = None,
-    ):
-        if columns is None:
-            columns = PackedMergedColumns(
-                [] if lists is None else lists
-            )
+    def __init__(self, columns: PackedMergedColumns):
         self.columns = columns
         self.position = 0
         self.reads = 0
         self.skips = 0
 
-    def __bool__(self) -> bool:
-        return self.position < self.columns.length
-
-    def head_key(self) -> int | None:
-        """Packed key of the head; O(1), no entry materialized."""
-        columns = self.columns
-        position = self.position
-        if position >= columns.length:
-            return None
-        return columns.keys[position]
-
-    def cur_pos(self) -> PackedEntry | None:
-        """The head entry without consuming it."""
-        columns = self.columns
-        position = self.position
-        if position >= columns.length:
-            return None
-        return (
-            columns.keys[position],
-            columns.path_ids[position],
-            columns.tfs[position],
-            columns.tokens[columns.token_ids[position]],
-        )
-
-    def next(self) -> PackedEntry | None:
-        """Pop and return the head; ``None`` when exhausted."""
-        entry = self.cur_pos()
-        if entry is not None:
-            self.position += 1
-            self.reads += 1
-        return entry
-
-    def pop_subtree(self, group: int, shift: int) -> list[PackedEntry]:
-        """Pop every entry under ``group`` (Lines 9–11 of Algorithm 1).
-
-        ``shift`` is ``packer.shift_for(depth(group))``: a key belongs
-        to the group iff ``key >> shift == group >> shift``.  The head
-        must itself be in the group (callers ``skip_to(group)`` first);
-        the group then ends at the first key reaching the next prefix,
-        found by one bisect.
-        """
-        columns = self.columns
-        keys = columns.keys
-        position = self.position
-        prefix = group >> shift
-        if position >= columns.length or (
-            keys[position] >> shift
-        ) != prefix:
-            return []
-        end = gallop_left(
-            keys, (prefix + 1) << shift, position, columns.length
-        )
-        path_ids = columns.path_ids
-        tfs = columns.tfs
-        token_ids = columns.token_ids
-        tokens = columns.tokens
-        out = [
-            (keys[i], path_ids[i], tfs[i], tokens[token_ids[i]])
-            for i in range(position, end)
-        ]
-        self.reads += end - position
-        self.position = end
-        return out
-
-    def skip_to(self, key: int) -> PackedEntry | None:
-        """Discard all entries with key < ``key``; return the new head.
-
-        Galloping (exponential probe + bisect) from the cursor: skips
-        in Algorithm 1 are local, so the probe window is usually a few
-        entries wide regardless of how much list remains.
-        """
-        columns = self.columns
-        new_position = gallop_left(
-            columns.keys, key, self.position, columns.length
-        )
-        self.skips += new_position - self.position
-        self.position = new_position
-        return self.cur_pos()
-
     @property
     def total_reads(self) -> int:
-        """Postings consumed via ``next``/``pop_subtree``."""
+        """Postings the merge loop consumed."""
         return self.reads
 
     @property
     def total_skips(self) -> int:
-        """Postings jumped over via ``skip_to``."""
+        """Postings the merge loop jumped over."""
         return self.skips
-
-    def drain(self) -> list[PackedEntry]:
-        """Consume the remainder of the merged list (testing aid)."""
-        out = []
-        while True:
-            entry = self.next()
-            if entry is None:
-                return out
-            out.append(entry)

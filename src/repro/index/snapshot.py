@@ -10,7 +10,7 @@ sections in one file, so loading is::
     wrap each section in a ``memoryview`` cast to its element type.
 
 No per-posting Python object is ever materialized: posting columns stay
-int64/int32 views that ``_merge_loop_packed`` bisects directly, and a
+int64/int32 views that the merge loop searches directly, and a
 pool of serving workers mapping the same file shares the bytes through
 the OS page cache (copy-on-access never happens on a read mapping).
 
@@ -922,12 +922,11 @@ class SnapshotPackedIndex:
 
 
 class _LazyInvertedIndex:
-    """Tuple-engine compatibility over the packed posting sections.
+    """Tuple posting lists over the packed posting sections.
 
-    The packed engine never touches this; the reference tuple engine
-    (``XCleanConfig.engine == "tuple"``) and a few offline consumers
-    do, so lists are unpacked *per requested token*, on demand, and
-    memoized.
+    The merge loop never touches this; the offline tuple readers
+    (``NaiveCleaner``, SLCA/ELCA, entity search, PY08) do, so lists
+    are unpacked *per requested token*, on demand, and memoized.
     """
 
     __slots__ = ("_packed", "_memo")
@@ -1142,7 +1141,8 @@ class SnapshotCorpusIndex(QueryEngineMixin):
 
     @property
     def inverted(self) -> _LazyInvertedIndex:
-        """Tuple-engine shim; packed queries never touch it."""
+        """Tuple-list shim for the offline readers; the merge loop
+        never touches it."""
         found = self._inverted
         if found is None:
             found = _LazyInvertedIndex(self._packed_index)

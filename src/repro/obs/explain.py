@@ -1,7 +1,7 @@
 """Score provenance: why a candidate got the score it got.
 
 ``XCleanSuggester.suggest_explained`` runs the normal Algorithm 1 pass
-with a :class:`ScoreRecorder` attached; the engines feed it, per
+with a :class:`ScoreRecorder` attached; the merge loop feeds it, per
 candidate and per subtree group, the exact factors that entered the
 accumulator — error-model probabilities (Eq. 4/5), per-entity
 Dirichlet-smoothed term contributions (Eq. 6/8/9), the result-type
@@ -11,8 +11,8 @@ estimate).  :func:`build_explanation` then folds the record into an
 :class:`Explanation` whose per-candidate ``reconstructed_score`` is
 computed from the logged factors alone, in the engine's own
 accumulation order — it therefore matches the engine's reported score
-bit for bit (asserted to 1e-9 in ``tests/obs/test_explain.py``, for
-both engines).
+bit for bit (asserted to 1e-9 in ``tests/obs/test_explain.py``, with
+skipping on and off).
 
 The recorder is only ever attached for explain runs; the hot path
 carries a ``self._recorder is None`` check per scored candidate and
@@ -196,7 +196,7 @@ class KernelPruneNote:
 
 
 # ----------------------------------------------------------------------
-# The recorder the engines feed
+# The recorder the merge loop feeds
 # ----------------------------------------------------------------------
 
 
@@ -220,7 +220,7 @@ class _CandidateRecord:
 class ScoreRecorder:
     """Collects score provenance during one explain run.
 
-    The engines call :meth:`group` immediately *before* ``pool.add``
+    The merge loop calls :meth:`group` immediately *before* ``pool.add``
     for the same candidate; the pool's pruning observer then fixes the
     record up if the add was rejected or evicted somebody.
     """
@@ -411,21 +411,19 @@ class Explanation:
     """Full provenance of one ``suggest_explained`` call."""
 
     query: str
-    engine: str
     trace_id: str | None
     partial: bool
     suggestions: tuple[CandidateExplanation, ...]
     #: Every pruning decision of the run, in decision order.
     events: tuple[EvictionNote, ...]
     #: Candidates the merge kernel's in-loop γ-pruning skipped before
-    #: scoring (empty off the kernel path).
+    #: scoring (empty at γ=None or with ``kernel_pruning=False``).
     kernel_prunes: tuple[KernelPruneNote, ...]
     stats: dict[str, Any]
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "query": self.query,
-            "engine": self.engine,
             "trace_id": self.trace_id,
             "partial": self.partial,
             "suggestions": [
@@ -440,7 +438,7 @@ class Explanation:
 
     def render(self, max_entities: int = 5) -> str:
         """Human-readable multi-section text (the CLI view)."""
-        lines = [f"query: {self.query!r}  engine: {self.engine}"]
+        lines = [f"query: {self.query!r}"]
         if self.trace_id:
             lines[0] += f"  trace: {self.trace_id}"
         if self.partial:
@@ -609,7 +607,6 @@ def build_explanation(
         )
     return Explanation(
         query=query,
-        engine=suggester.config.engine,
         trace_id=stats.trace_id,
         partial=stats.partial,
         suggestions=tuple(candidates),

@@ -1,118 +1,33 @@
-"""Regression tests for XCleanSuggester._consume_shallow.
+"""Regression test for shallow heads in Algorithm 1's merge loop.
 
-The seed implementation silently did nothing when no merged-list head
-equaled the anchor; since the outer loop of Algorithm 1 recomputes the
-same anchor from unchanged heads, that would spin forever.  The fix
-consumes the maximal head whenever no exact match exists, guaranteeing
-progress.
+An occurrence shallower than the minimal depth d cannot sit under any
+valid entity, so the merge loop consumes it wherever it is and moves
+on.  An early implementation silently did nothing when no merged-list
+head equaled the anchor; since the outer loop recomputes the same
+anchor from unchanged heads, that would spin forever.
 """
-
-import pytest
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.index.corpus import build_corpus_index
-from repro.index.inverted import InvertedList, PackedInvertedList
-from repro.index.merged_list import MergedList, PackedMergedList
 from repro.xmltree.builder import paper_example_tree
-from repro.xmltree.dewey_packed import DeweyPacker
 from repro.xmltree.document import XMLDocument
-
-
-@pytest.fixture(scope="module")
-def suggester():
-    corpus = build_corpus_index(XMLDocument(paper_example_tree()))
-    return XCleanSuggester(corpus, config=XCleanConfig(max_errors=1))
-
-
-def tuple_lists():
-    return [
-        MergedList([InvertedList("a", [((1, 1), 0, 1)])]),
-        MergedList([InvertedList("b", [((1, 3), 0, 1), ((1, 4), 0, 1)])]),
-    ]
-
-
-class TestTupleEngine:
-    def test_matching_head_is_consumed(self, suggester):
-        merged = tuple_lists()
-        suggester._consume_shallow(merged, (1, 3))
-        assert merged[1].head_dewey() == (1, 4)
-        assert merged[0].head_dewey() == (1, 1)
-
-    def test_stale_anchor_still_makes_progress(self, suggester):
-        # Anchor matches no head (the hang scenario): the maximal head
-        # must be consumed so the outer loop sees new state.
-        merged = tuple_lists()
-        suggester._consume_shallow(merged, (9, 9))
-        heads = [ml.head_dewey() for ml in merged]
-        assert heads == [(1, 1), (1, 4)]
-
-    def test_all_exhausted_is_a_noop(self, suggester):
-        merged = [MergedList([])]
-        suggester._consume_shallow(merged, (1,))  # must not raise
-        assert merged[0].head_dewey() is None
-
-
-class TestPackedEngine:
-    def test_stale_anchor_still_makes_progress(self, suggester):
-        packer = DeweyPacker(max_depth=3, component_bits=4)
-        merged = [
-            PackedMergedList(
-                [
-                    PackedInvertedList.from_inverted(
-                        InvertedList("a", [((1, 1), 0, 1)]), packer
-                    )
-                ]
-            ),
-            PackedMergedList(
-                [
-                    PackedInvertedList.from_inverted(
-                        InvertedList(
-                            "b", [((1, 3), 0, 1), ((1, 4), 0, 1)]
-                        ),
-                        packer,
-                    )
-                ]
-            ),
-        ]
-        suggester._consume_shallow_packed(merged, packer.pack((9, 9)))
-        assert merged[0].head_key() == packer.pack((1, 1))
-        assert merged[1].head_key() == packer.pack((1, 4))
-
-    def test_matching_head_preferred_over_maximal(self, suggester):
-        packer = DeweyPacker(max_depth=3, component_bits=4)
-        lists = [
-            PackedMergedList(
-                [
-                    PackedInvertedList.from_inverted(
-                        InvertedList("a", [((1, 1), 0, 1)]), packer
-                    )
-                ]
-            ),
-            PackedMergedList(
-                [
-                    PackedInvertedList.from_inverted(
-                        InvertedList("b", [((1, 3), 0, 1)]), packer
-                    )
-                ]
-            ),
-        ]
-        suggester._consume_shallow_packed(lists, packer.pack((1, 1)))
-        assert lists[0].head_key() is None
-        assert lists[1].head_key() == packer.pack((1, 3))
 
 
 class TestEndToEnd:
     def test_deep_min_depth_terminates(self):
         # With min_depth above every leaf, every anchor takes the
         # shallow path; the query must still terminate and return
-        # nothing rather than loop.
+        # nothing rather than loop — with skipping on and off.
         corpus = build_corpus_index(XMLDocument(paper_example_tree()))
-        for engine in ("packed", "tuple"):
+        for use_skipping in (True, False):
             suggester = XCleanSuggester(
                 corpus,
                 config=XCleanConfig(
-                    max_errors=1, min_depth=30, engine=engine
+                    max_errors=1, min_depth=30, use_skipping=use_skipping
                 ),
             )
             assert suggester.suggest("tree icdt", 5) == []
+            # Every head was consumed as shallow: nothing skipped.
+            assert suggester.last_stats.groups_processed == 0
+            assert suggester.last_stats.postings_skipped == 0

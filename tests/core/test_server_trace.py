@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.server import SuggestionService
 from repro.exceptions import ConfigurationError, Overloaded
@@ -61,6 +62,41 @@ class TestSingleQueryTracing:
             assert answer
             assert service.last_stats.trace_id is None
             assert service.flight_recorder is None
+
+
+class TestScoreSpan:
+    """Scoring runs inside the merge loop, so its aggregated span is a
+    child of "merge" — with or without a metrics registry."""
+
+    @staticmethod
+    def assert_score_inside_merge(root):
+        merge = root.find("merge")
+        scores = [span for span in root.walk() if span.name == "score"]
+        assert len(scores) == 1
+        assert scores[0] in merge.children
+        assert scores[0].attributes == {"aggregated": True}
+        assert scores[0].duration > 0.0
+        for span in root.walk():
+            inner = sum(child.duration for child in span.children)
+            assert inner <= span.duration + 1e-9, span.name
+
+    def test_tracer_only_suggester(self, corpus):
+        # What ``xclean trace`` builds: a tracer and no registry.
+        tracer = Tracer()
+        suggester = XCleanSuggester(
+            corpus, config=XCleanConfig(max_errors=2), tracer=tracer
+        )
+        assert not suggester.metrics.enabled
+        assert suggester.suggest("icdt tre", 5)
+        assert suggester.last_stats.entities_scored > 0
+        self.assert_score_inside_merge(tracer.last_trace)
+
+    def test_service_request(self, corpus):
+        with make_service(corpus) as service:
+            service.suggest("icdt tre", 5)
+            root = service.tracer.last_trace
+        assert root.name == "request"
+        self.assert_score_inside_merge(root)
 
 
 class TestPoolTraceStitching:

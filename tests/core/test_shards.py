@@ -36,10 +36,10 @@ SHARD_COUNTS = (1, 2, 4, 7)
 TINY_QUERY = "icdt tre"
 
 
-def _config(kernel: bool = True) -> XCleanConfig:
+def _config(use_skipping: bool = True) -> XCleanConfig:
     # gamma=None keeps the accumulator pool unbounded so the
     # byte-identity claim is unconditional (no evictions anywhere).
-    return XCleanConfig(max_errors=2, gamma=None, merge_kernel=kernel)
+    return XCleanConfig(max_errors=2, gamma=None, use_skipping=use_skipping)
 
 
 def _key(suggestion):
@@ -113,11 +113,11 @@ def manifests(setting, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference(setting, queries):
-    """Single-index answers per kernel setting; None = unanswerable."""
+    """Single-index answers per skipping mode; None = unanswerable."""
     answers = {}
-    for kernel in (True, False):
+    for use_skipping in (True, False):
         suggester = XCleanSuggester(
-            setting.corpus, config=_config(kernel)
+            setting.corpus, config=_config(use_skipping)
         )
         rows = []
         for query in queries:
@@ -127,7 +127,7 @@ def reference(setting, queries):
                 )
             except QueryError:
                 rows.append(None)
-        answers[kernel] = rows
+        answers[use_skipping] = rows
     return answers
 
 
@@ -228,15 +228,15 @@ class TestFoldCleaningStats:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("kernel", (True, False))
+    @pytest.mark.parametrize("use_skipping", (True, False))
     @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
     def test_in_process_matches_single_index(
-        self, manifests, queries, reference, shard_count, kernel
+        self, manifests, queries, reference, shard_count, use_skipping
     ):
         with ShardedSuggestionService(
-            manifests[shard_count], config=_config(kernel)
+            manifests[shard_count], config=_config(use_skipping)
         ) as service:
-            for query, expected in zip(queries, reference[kernel]):
+            for query, expected in zip(queries, reference[use_skipping]):
                 if expected is None:
                     with pytest.raises(QueryError):
                         service.suggest(query, 10)

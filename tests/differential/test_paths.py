@@ -1,0 +1,275 @@
+"""Differential harness: every execution path of Algorithm 1 agrees.
+
+Inputs are seeded small corpora — synthetic DBLP, synthetic Wikipedia,
+the paper's example tree, and the small DBLP evaluation setting with
+its CLEAN/RAND/RULE workloads — plus seeded queries of 1–3 tokens that
+co-occur in one leaf, each token misspelled by
+``misspellings.rule_misspell``.  At γ=None the paths are:
+
+* the merge kernel, cold (plan cache cleared first);
+* the same suggester again (a plan replay);
+* the linear mode (``use_skipping=False``);
+* a v3 snapshot of the same corpus;
+* ``SuggestionService.suggest_detailed``;
+* an in-process 2-shard ``ShardedSuggestionService``.
+
+Checks: byte-identical top-k (tokens, score, result type) on every
+path; ``score_all`` equal to the ``NaiveCleaner`` oracle (the Section
+IV model) to a relative 1e-9; every suggestion returns at least one
+``EntitySearch`` result (the paper's validity guarantee); the linear
+mode reads exactly what the galloping run reads plus skips; a replay
+repeats the cold counters; and at γ ∈ {1, 4} in-loop pruning changes
+nothing.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+
+import pytest
+
+from repro.core.cleaner import XCleanSuggester
+from repro.core.config import XCleanConfig
+from repro.core.naive import NaiveCleaner
+from repro.core.search import EntitySearch
+from repro.core.server import SuggestionService
+from repro.core.shards import ShardedSuggestionService
+from repro.datasets.misspellings import rule_misspell
+from repro.datasets.synthetic_dblp import DBLPConfig, generate_dblp
+from repro.datasets.synthetic_wiki import WikiConfig, generate_wiki
+from repro.eval.experiments import dblp_setting
+from repro.index.corpus import build_corpus_index
+from repro.index.sharding import build_sharded_snapshot
+from repro.index.snapshot import build_snapshot, load_snapshot
+from repro.xmltree.builder import paper_example_tree
+from repro.xmltree.document import XMLDocument
+
+K = 10
+QUERIES_PER_CORPUS = 20
+#: Queries per corpus also run under the length prior.
+LENGTH_PRIOR_QUERIES = 6
+#: Fixed queries over the paper's example tree (Fig. 1).
+PAPER_QUERIES = ("tree icdt", "tre icd", "databas", "xml tree")
+#: Query seed per generated corpus.
+QUERY_SEEDS = {"dblp": 11, "wiki": 12, "paper": 13}
+CORPORA = ("dblp", "wiki", "paper", "dblp-small")
+
+
+def rows_of(suggestions):
+    return [(s.tokens, s.score, s.result_type) for s in suggestions]
+
+
+def seeded_queries(document, tokenizer, seed, count):
+    """``count`` distinct queries of 1-3 tokens sharing one leaf.
+
+    Tokens of one leaf co-occur in every entity above it, so the
+    intended query is always answerable; each token is misspelled.
+    """
+    rng = random.Random(seed)
+    leaves = []
+    for node in document.iter_nodes():
+        tokens = sorted(
+            {t for t in tokenizer.tokenize(node.text or "") if len(t) > 3}
+        )
+        if tokens:
+            leaves.append(tokens)
+    queries: list[str] = []
+    while len(queries) < count:
+        tokens = rng.choice(leaves)
+        picked = rng.sample(tokens, rng.randint(1, min(3, len(tokens))))
+        query = " ".join(rule_misspell(token, rng) for token in picked)
+        if tokenizer.tokenize(query) and query not in queries:
+            queries.append(query)
+    return queries
+
+
+def load_case(name):
+    """(corpus, queries) of one harness corpus."""
+    if name == "dblp-small":
+        setting = dblp_setting("small")
+        queries = [
+            record.dirty_text
+            for kind in ("CLEAN", "RAND", "RULE")
+            for record in setting.workloads[kind]
+        ]
+        return setting.corpus, list(dict.fromkeys(queries))
+    if name == "paper":
+        document = XMLDocument(paper_example_tree(), name="paper-example")
+    elif name == "dblp":
+        document = generate_dblp(
+            DBLPConfig(publications=150, seed=1501)
+        ).document
+    else:
+        document = generate_wiki(
+            WikiConfig(articles=25, extra_vocabulary=400, seed=1502)
+        ).document
+    corpus = build_corpus_index(document)
+    queries = seeded_queries(
+        document, corpus.tokenizer, QUERY_SEEDS[name], QUERIES_PER_CORPUS
+    )
+    if name == "paper":
+        queries = list(PAPER_QUERIES) + queries
+    return corpus, queries
+
+
+@dataclass
+class Run:
+    """One query's answers and stats on every path."""
+
+    rows: dict[str, list] = field(default_factory=dict)
+    stats: dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Case:
+    corpus: object
+    queries: list[str]
+    runs: dict[str, Run]
+
+
+@pytest.fixture(scope="module", params=CORPORA)
+def case(request, tmp_path_factory):
+    name = request.param
+    corpus, queries = load_case(name)
+    config = XCleanConfig(gamma=None)
+    directory = tmp_path_factory.mktemp(f"differential-{name}")
+    snapshot_path = str(directory / "index.xcs3")
+    build_snapshot(corpus, snapshot_path)
+    shard_dir = directory / "shards"
+    shard_dir.mkdir()
+    manifest = build_sharded_snapshot(corpus, str(shard_dir), 2)
+    snapshot = load_snapshot(snapshot_path)
+    kernel = XCleanSuggester(corpus, config=config)
+    linear = XCleanSuggester(
+        corpus, config=XCleanConfig(gamma=None, use_skipping=False)
+    )
+    from_snapshot = XCleanSuggester(snapshot, config=config)
+    runs: dict[str, Run] = {}
+    try:
+        with SuggestionService(
+            corpus, config=config
+        ) as service, ShardedSuggestionService(
+            manifest, config=config
+        ) as sharded:
+            for query in queries:
+                run = runs[query] = Run()
+                # A cold run records its own plan, whatever came before.
+                corpus.intersection_cache.clear()
+                for path, suggester in (
+                    ("cold", kernel),
+                    ("replay", kernel),
+                    ("linear", linear),
+                    ("snapshot", from_snapshot),
+                ):
+                    run.rows[path] = rows_of(suggester.suggest(query, K))
+                    run.stats[path] = suggester.last_stats
+                for path, server in (
+                    ("service", service), ("sharded", sharded)
+                ):
+                    got, stats = server.suggest_detailed(query, K)
+                    run.rows[path] = rows_of(got)
+                    run.stats[path] = stats
+    finally:
+        snapshot.close()
+    return Case(corpus, queries, runs)
+
+
+class TestPaths:
+    def test_topk_identical_on_every_path(self, case):
+        answered = 0
+        for query, run in case.runs.items():
+            reference = run.rows["cold"]
+            answered += bool(reference)
+            for path, rows in run.rows.items():
+                assert rows == reference, (query, path)
+        # The harness must exercise scoring, not agree on emptiness.
+        assert answered >= len(case.queries) // 2
+
+    def test_scores_match_naive_oracle(self, case):
+        config = XCleanConfig(gamma=None)
+        kernel = XCleanSuggester(case.corpus, config=config)
+        oracle = NaiveCleaner(case.corpus, config=config)
+        for query in case.queries:
+            fast = kernel.score_all(query)
+            naive = {
+                c: s for c, s in oracle.score_all(query).items() if s > 0
+            }
+            assert set(fast) == set(naive), query
+            for candidate, score in fast.items():
+                assert score == pytest.approx(
+                    naive[candidate], rel=1e-9
+                ), (query, candidate)
+
+    def test_every_suggestion_has_results(self, case):
+        search = EntitySearch(case.corpus)
+        for query, run in case.runs.items():
+            for tokens, _score, _type in run.rows["cold"]:
+                assert search.search(" ".join(tokens), 1), (query, tokens)
+
+    def test_linear_mode_reads_what_galloping_passes(self, case):
+        for query, run in case.runs.items():
+            cold, linear = run.stats["cold"], run.stats["linear"]
+            assert linear.postings_skipped == 0, query
+            assert linear.postings_read == (
+                cold.postings_read + cold.postings_skipped
+            ), query
+            assert linear.groups_processed == cold.groups_processed, query
+            assert linear.intersection_cache_hits == 0, query
+            assert linear.intersection_cache_misses == 0, query
+
+    def test_replay_repeats_cold_counters(self, case):
+        for query, run in case.runs.items():
+            cold, replay = run.stats["cold"], run.stats["replay"]
+            if cold.groups_processed:
+                assert replay.intersection_cache_hits == 1, query
+            for counter in (
+                "postings_read",
+                "postings_skipped",
+                "groups_processed",
+                "candidates_evaluated",
+                "entities_scored",
+                "kernel_pruned",
+            ):
+                assert getattr(replay, counter) == getattr(cold, counter), (
+                    query,
+                    counter,
+                )
+
+    def test_length_prior_paths_agree(self, case):
+        config = XCleanConfig(gamma=None, prior="length")
+        kernel = XCleanSuggester(case.corpus, config=config)
+        linear = XCleanSuggester(
+            case.corpus,
+            config=XCleanConfig(
+                gamma=None, prior="length", use_skipping=False
+            ),
+        )
+        oracle = NaiveCleaner(case.corpus, config=config)
+        for query in case.queries[:LENGTH_PRIOR_QUERIES]:
+            cold = rows_of(kernel.suggest(query, K))
+            assert rows_of(kernel.suggest(query, K)) == cold, query
+            assert rows_of(linear.suggest(query, K)) == cold, query
+            naive = oracle.score_all(query)
+            for tokens, score, _type in cold:
+                assert score == pytest.approx(naive[tokens], rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", (1, 4))
+    def test_pruning_changes_nothing(self, case, gamma):
+        pruned = XCleanSuggester(
+            case.corpus, config=XCleanConfig(gamma=gamma)
+        )
+        plain = XCleanSuggester(
+            case.corpus,
+            config=XCleanConfig(gamma=gamma, kernel_pruning=False),
+        )
+        pruned_total = 0
+        for query in case.queries:
+            assert rows_of(pruned.suggest(query, K)) == rows_of(
+                plain.suggest(query, K)
+            ), query
+            pruned_total += pruned.last_stats.kernel_pruned
+            assert plain.last_stats.kernel_pruned == 0
+        if gamma == 1:
+            # A one-slot table saturates at once: the prune must fire.
+            assert pruned_total > 0

@@ -36,7 +36,8 @@ from repro.xmltree.node import XMLNode
 
 QUERIES = ("speling sugestion", "databse", "zanziber", "xml serach")
 
-ENGINES = [("packed", True), ("packed", False), ("tuple", False)]
+#: Both advance modes of the merge loop: galloping and linear.
+SKIPPING = (True, False)
 
 
 def el(label, *children, text=""):
@@ -89,8 +90,8 @@ def rebuild_reference(manager):
     return build_corpus_index(copy)
 
 
-def topk(corpus, query, engine="packed", kernel=True, k=5):
-    config = XCleanConfig(engine=engine, merge_kernel=kernel)
+def topk(corpus, query, use_skipping=True, k=5):
+    config = XCleanConfig(use_skipping=use_skipping)
     suggester = XCleanSuggester(corpus, config=config)
     return [
         dataclasses.astuple(s) for s in suggester.suggest(query, k)
@@ -99,11 +100,11 @@ def topk(corpus, query, engine="packed", kernel=True, k=5):
 
 def assert_serves_like_rebuild(manager):
     reference = rebuild_reference(manager)
-    for engine, kernel in ENGINES:
+    for use_skipping in SKIPPING:
         for query in QUERIES:
-            assert topk(manager.corpus, query, engine, kernel) == (
-                topk(reference, query, engine, kernel)
-            ), (engine, kernel, query)
+            assert topk(manager.corpus, query, use_skipping) == (
+                topk(reference, query, use_skipping)
+            ), (use_skipping, query)
 
 
 class TestOpenAndRecovery:

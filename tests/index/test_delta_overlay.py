@@ -4,8 +4,8 @@ The load-bearing invariant of live updates: after any sequence of
 subtree add/update/delete records, the overlay corpus must be
 *indistinguishable* from an index built from scratch over the applied
 logical document — same postings, same Eq. 6/8 statistics, and (the
-acceptance bar) byte-identical top-k from both engines with the merge
-kernel on and off.
+acceptance bar) byte-identical top-k from the merge loop with skipping
+on and off.
 """
 
 import dataclasses
@@ -113,15 +113,16 @@ def overlay_over(base, document, records):
     return DeltaOverlayCorpus(base, segment), copy
 
 
-def topk(corpus, query, engine, kernel, k=5):
-    config = XCleanConfig(engine=engine, merge_kernel=kernel)
+def topk(corpus, query, use_skipping, k=5):
+    config = XCleanConfig(use_skipping=use_skipping)
     suggester = XCleanSuggester(corpus, config=config)
     return [
         dataclasses.astuple(s) for s in suggester.suggest(query, k)
     ]
 
 
-ENGINES = [("packed", True), ("packed", False), ("tuple", False)]
+#: Both advance modes of the merge loop: galloping and linear.
+SKIPPING = (True, False)
 
 
 class TestStatEquivalence:
@@ -225,21 +226,21 @@ class TestStatEquivalence:
 
 
 class TestSuggestionEquivalence:
-    """The acceptance bar: byte-identical top-k, all engine modes."""
+    """The acceptance bar: byte-identical top-k, both skipping modes."""
 
-    @pytest.mark.parametrize("engine,kernel", ENGINES)
-    def test_memory_base(self, engine, kernel):
+    @pytest.mark.parametrize("use_skipping", SKIPPING)
+    def test_memory_base(self, use_skipping):
         document = base_document()
         base = build_corpus_index(document)
         overlay, applied = overlay_over(base, document, OPS)
         reference = build_corpus_index(applied)
         for query in QUERIES:
-            assert topk(overlay, query, engine, kernel) == (
-                topk(reference, query, engine, kernel)
+            assert topk(overlay, query, use_skipping) == (
+                topk(reference, query, use_skipping)
             ), query
 
-    @pytest.mark.parametrize("engine,kernel", ENGINES)
-    def test_snapshot_base(self, tmp_path, engine, kernel):
+    @pytest.mark.parametrize("use_skipping", SKIPPING)
+    def test_snapshot_base(self, tmp_path, use_skipping):
         document = base_document()
         index = build_corpus_index(document)
         path = str(tmp_path / "base.xcs3")
@@ -249,8 +250,8 @@ class TestSuggestionEquivalence:
             overlay, applied = overlay_over(base, document, OPS)
             reference = build_corpus_index(applied)
             for query in QUERIES:
-                assert topk(overlay, query, engine, kernel) == (
-                    topk(reference, query, engine, kernel)
+                assert topk(overlay, query, use_skipping) == (
+                    topk(reference, query, use_skipping)
                 ), query
         finally:
             base.close()
@@ -394,16 +395,14 @@ class TestInterleavedUpdates:
                     assert generator.variants(keyword) == (
                         expected.variants(keyword)
                     ), (step, keyword)
-                for engine, kernel in ENGINES:
-                    config = XCleanConfig(
-                        engine=engine, merge_kernel=kernel
-                    )
+                for use_skipping in SKIPPING:
+                    config = XCleanConfig(use_skipping=use_skipping)
                     mine = XCleanSuggester(overlay, config=config)
                     theirs = XCleanSuggester(reference, config=config)
                     for query in self.QUERIES:
                         assert answers(mine.suggest(query, 5)) == (
                             answers(theirs.suggest(query, 5))
-                        ), (step, engine, kernel, query)
+                        ), (step, use_skipping, query)
                 for query in self.QUERIES:
                     assert answers(service.suggest(query, 5)) == (
                         answers(XCleanSuggester(reference).suggest(
@@ -499,10 +498,10 @@ class TestTargetedEviction:
                 assert overlay.packed_view().rekeyed == (ordinal >= 8)
                 reference = build_corpus_index(copy)
                 for query in QUERIES:
-                    for engine, kernel in ENGINES:
-                        assert topk(overlay, query, engine, kernel) == (
-                            topk(reference, query, engine, kernel)
-                        ), (ordinal, query, engine, kernel)
+                    for use_skipping in SKIPPING:
+                        assert topk(overlay, query, use_skipping) == (
+                            topk(reference, query, use_skipping)
+                        ), (ordinal, query, use_skipping)
         finally:
             base.close()
 

@@ -2,19 +2,8 @@
 
 from array import array
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.index.inverted import (
-    InvertedList,
-    PackedInvertedList,
-    PackedListCursor,
-)
+from repro.index.inverted import InvertedList, PackedInvertedList
 from repro.xmltree.dewey_packed import DeweyPacker
-
-deweys = st.lists(
-    st.integers(min_value=1, max_value=9), min_size=1, max_size=4
-).map(tuple)
 
 
 def packed_pair(codes):
@@ -54,34 +43,3 @@ class TestPacking:
         assert isinstance(packed.keys, list)
         assert list(packed.keys) == sorted(packed.keys)
 
-
-class TestFirstAtOrAfter:
-    @given(
-        st.lists(deweys, min_size=1, max_size=25),
-        deweys,
-        st.integers(min_value=0, max_value=10),
-    )
-    def test_matches_tuple_engine(self, codes, target, start):
-        source, packed, packer = packed_pair(codes)
-        start = min(start, len(source))
-        expected = source.first_at_or_after(target, start)
-        # The packed target may not exist in the list; size the packer
-        # over it too so it is encodable.
-        packer = DeweyPacker.for_codes(
-            [c for c, _p, _t in source.postings] + [target]
-        )
-        packed = PackedInvertedList.from_inverted(source, packer)
-        got = packed.first_at_or_after(packer.pack(target), start)
-        assert got == expected
-
-    def test_cursor_skip_counts(self):
-        source, packed, packer = packed_pair(
-            [(1,), (2,), (3,), (4,), (5,)]
-        )
-        cursor = PackedListCursor(packed)
-        head = cursor.skip_to(packer.pack((4,)))
-        assert head == packer.pack((4,))
-        assert cursor.skips == 3
-        assert not cursor.exhausted()
-        assert cursor.skip_to(packer.pack((7,))) is None
-        assert cursor.exhausted()

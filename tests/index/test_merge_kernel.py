@@ -2,12 +2,13 @@
 
 Three layers:
 
-* the galloping search primitive (must agree with ``bisect_left`` on
-  every sorted input);
+* the galloping and linear search primitives (must agree with
+  ``bisect_left`` on every sorted input);
 * the generation-keyed :class:`IntersectionCache` LRU;
-* the kernel merge loop end to end — byte-identical output against the
-  classic packed loop and the tuple reference engine, honest counters
-  across plan replays, and the in-loop γ-pruning fast path.
+* the kernel merge loop end to end — byte-identical output against its
+  own linear (``use_skipping=False``) mode and the ``NaiveCleaner``
+  oracle, honest counters across plan replays, and the in-loop
+  γ-pruning fast path.
 """
 
 from bisect import bisect_left
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.naive import NaiveCleaner
 from repro.index.corpus import build_corpus_index
 from repro.index.merge_kernel import (
     GroupRun,
     IntersectionCache,
     MergePlan,
     gallop_left,
+    scan_left,
 )
 from repro.xmltree.builder import build_tree, paper_example_tree
 from repro.xmltree.dewey_packed import DeweyPacker
@@ -78,6 +81,21 @@ class TestGallopLeft:
     def test_duplicates_find_leftmost(self):
         keys = [1, 3, 3, 3, 9]
         assert gallop_left(keys, 3, 0, 5) == 1
+
+
+class TestScanLeft:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=100), max_size=50),
+        st.integers(min_value=-5, max_value=105),
+        st.data(),
+    )
+    def test_agrees_with_gallop_left(self, values, target, data):
+        keys = sorted(values)
+        lo = data.draw(st.integers(0, len(keys)))
+        hi = data.draw(st.integers(lo, len(keys)))
+        assert scan_left(keys, target, lo, hi) == gallop_left(
+            keys, target, lo, hi
+        )
 
 
 # ----------------------------------------------------------------------
@@ -178,25 +196,36 @@ def output_of(sugg, query, k=10):
 
 
 def assert_kernel_equivalent(corpus, queries, **overrides):
-    """Kernel == classic (strict), == tuple (1e-9), same counters."""
+    """Kernel == its linear mode (strict, same walk), == oracle (1e-9).
+
+    The linear mode passes over exactly the postings the galloping run
+    reads or skips, and counts them all as read.  At γ=None the scores
+    must also match ``NaiveCleaner``, the Section IV model.
+    """
     kernel = suggester(corpus, **overrides)
-    classic = suggester(corpus, merge_kernel=False, **overrides)
-    reference = suggester(corpus, engine="tuple", **overrides)
+    linear = suggester(corpus, use_skipping=False, **overrides)
+    oracle = None
+    if "gamma" in overrides and overrides["gamma"] is None:
+        oracle = NaiveCleaner(corpus, config=XCleanConfig(**overrides))
     for query in queries:
         got = output_of(kernel, query)
-        want = output_of(classic, query)
-        assert got == want, query
-        ref = output_of(reference, query)
-        assert [g[0] for g in got] == [r[0] for r in ref], query
-        for g, r in zip(got, ref):
-            assert g[1] == pytest.approx(r[1], rel=1e-9), query
-        ks, cs = kernel.last_stats, classic.last_stats
-        assert ks.postings_read == cs.postings_read, query
-        assert ks.postings_skipped == cs.postings_skipped, query
-        assert ks.groups_processed == cs.groups_processed, query
+        assert got == output_of(linear, query), query
+        ks, ls = kernel.last_stats, linear.last_stats
+        assert ls.postings_skipped == 0, query
         assert (
-            ks.postings_read == reference.last_stats.postings_read
+            ls.postings_read == ks.postings_read + ks.postings_skipped
         ), query
+        assert ls.groups_processed == ks.groups_processed, query
+        if oracle is not None:
+            fast = kernel.score_all(query)
+            naive = {
+                c: s for c, s in oracle.score_all(query).items() if s > 0
+            }
+            assert set(fast) == set(naive), query
+            for candidate, score in fast.items():
+                assert score == pytest.approx(
+                    naive[candidate], rel=1e-9
+                ), query
 
 
 @pytest.fixture()
@@ -207,7 +236,7 @@ def paper_corpus():
 class TestKernelEquivalence:
     QUERIES = ["trie icde", "tree", "tria icda", "trees icde"]
 
-    def test_matches_classic_and_tuple(self, paper_corpus):
+    def test_matches_linear_mode(self, paper_corpus):
         assert_kernel_equivalent(
             paper_corpus, self.QUERIES, max_errors=1
         )
@@ -227,7 +256,7 @@ class TestKernelEquivalence:
 
     def test_matches_under_length_prior(self, paper_corpus):
         # Pruning self-disables under the length prior; output must
-        # still match the classic loop exactly.
+        # still match the linear mode exactly.
         assert_kernel_equivalent(
             paper_corpus, self.QUERIES, max_errors=1, prior="length"
         )
@@ -262,6 +291,22 @@ class TestPlanReplay:
         rebuilt = output_of(sugg, query)
         assert sugg.last_stats.intersection_cache_hits == 0
         assert rebuilt == cold
+
+    def test_linear_mode_bypasses_plan_cache(self, paper_corpus):
+        # The skipping ablation must time a real linear scan: it
+        # neither records plans nor replays one a galloping suggester
+        # on the same corpus left behind.
+        linear = suggester(paper_corpus, max_errors=1, use_skipping=False)
+        for _ in range(2):
+            output_of(linear, "trie icde")
+            assert linear.last_stats.intersection_cache_hits == 0
+            assert linear.last_stats.intersection_cache_misses == 0
+        assert len(paper_corpus.intersection_cache) == 0
+        output_of(suggester(paper_corpus, max_errors=1), "trie icde")
+        assert len(paper_corpus.intersection_cache) == 1
+        output_of(linear, "trie icde")
+        assert linear.last_stats.intersection_cache_hits == 0
+        assert linear.last_stats.postings_skipped == 0
 
     def test_cache_disabled_still_correct(self, paper_corpus):
         enabled = suggester(paper_corpus, max_errors=1)
@@ -406,15 +451,10 @@ class TestKernelPruning:
         plain = suggester(
             corpus, max_errors=1, gamma=1, kernel_pruning=False
         )
-        classic = suggester(
-            corpus, max_errors=1, gamma=1, merge_kernel=False
-        )
         got = output_of(pruned, "book")
         assert got == output_of(plain, "book")
-        assert got == output_of(classic, "book")
         assert pruned.last_stats.kernel_pruned > 0
         assert plain.last_stats.kernel_pruned == 0
-        assert classic.last_stats.kernel_pruned == 0
 
     def test_pruned_candidates_still_counted_as_evaluated(self):
         corpus = pruning_corpus()
@@ -434,14 +474,14 @@ class TestKernelPruning:
         sugg = suggester(
             corpus, max_errors=1, gamma=1, prior="length"
         )
-        classic = suggester(
+        plain = suggester(
             corpus,
             max_errors=1,
             gamma=1,
             prior="length",
-            merge_kernel=False,
+            kernel_pruning=False,
         )
-        assert output_of(sugg, "book") == output_of(classic, "book")
+        assert output_of(sugg, "book") == output_of(plain, "book")
         assert sugg.last_stats.kernel_pruned == 0
 
     def test_prune_replays_identically(self):

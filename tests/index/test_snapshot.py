@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.naive import NaiveCleaner
 from repro.exceptions import StorageError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import build_corpus_index
@@ -176,18 +177,24 @@ class TestEngineParity:
             for other in suggesters[1:]:
                 assert self._rows(other, query) == reference
 
-    def test_tuple_engine_over_snapshot(self, corpus, snapshot_path):
+    def test_naive_cleaner_over_snapshot(self, corpus, snapshot_path):
+        # NaiveCleaner reads tuple posting lists; over a snapshot they
+        # come from the tuple shim (SnapshotCorpusIndex.inverted).
         loaded = load_snapshot(snapshot_path)
-        packed = XCleanSuggester(
-            loaded, config=XCleanConfig(max_errors=2)
-        )
-        tuple_engine = XCleanSuggester(
-            loaded, config=XCleanConfig(max_errors=2, engine="tuple")
-        )
-        for query in self.QUERIES:
-            assert self._rows(tuple_engine, query) == self._rows(
-                packed, query
+        config = XCleanConfig(max_errors=2, gamma=None)
+        from_snapshot = NaiveCleaner(loaded, config=config)
+        in_memory = NaiveCleaner(corpus, config=config)
+        for query in self.QUERIES + ("tree icdt", "tre icd"):
+            scores = in_memory.score_all(query)
+            assert from_snapshot.score_all(query) == scores
+            assert (
+                from_snapshot.last_stats.postings_read
+                == in_memory.last_stats.postings_read
             )
+            assert self._rows(from_snapshot, query) == self._rows(
+                in_memory, query
+            )
+        assert scores, "expected the paper query to score candidates"
 
     def test_parallel_build_byte_identical(self, corpus, tmp_path):
         serial = str(tmp_path / "serial.xcs3")

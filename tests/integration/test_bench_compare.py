@@ -35,8 +35,8 @@ def write_bench(directory, name, payload):
     return str(path)
 
 
-def hotpath(speedup, scale="default"):
-    return {"scale": scale, "merge": {"speedup": speedup}}
+def hotpath(merge_ms, scale="default"):
+    return {"scale": scale, "merge": {"merge_only_ms_per_query": merge_ms}}
 
 
 def load_bench(p99, scale="default"):
@@ -71,7 +71,7 @@ class TestCompareDirs:
     def test_identical_results_are_ok(self, dirs):
         baseline, candidate = dirs
         for directory in dirs:
-            write_bench(directory, "BENCH_hotpath.json", hotpath(20.0))
+            write_bench(directory, "BENCH_hotpath.json", hotpath(0.2))
             write_bench(directory, "BENCH_load.json", load_bench(9.0))
             write_bench(
                 directory, "BENCH_update.json", update_bench(4.0)
@@ -80,15 +80,29 @@ class TestCompareDirs:
         assert report["regressions"] == []
         assert {r["status"] for r in report["results"]} == {"ok"}
 
-    def test_higher_is_better_regression(self, dirs):
+    def test_higher_is_better_regression(self):
+        # No committed headline is higher-is-better today; the
+        # direction is still honoured metric by metric.
+        entry = compare.compare_metric(
+            {"scale": "default", "speedup": 20.0},
+            {"scale": "default", "speedup": 12.0},
+            "speedup",
+            "higher",
+            "default",
+            compare.DEFAULT_THRESHOLD,
+        )
+        assert entry["status"] == "regression"
+        assert entry["ratio"] == pytest.approx(0.6)
+
+    def test_merge_only_time_regression(self, dirs):
         baseline, candidate = dirs
-        write_bench(baseline, "BENCH_hotpath.json", hotpath(20.0))
-        # 40% slowdown on a higher-is-better metric.
-        write_bench(candidate, "BENCH_hotpath.json", hotpath(12.0))
+        write_bench(baseline, "BENCH_hotpath.json", hotpath(0.20))
+        # 40% more merge-only time per query.
+        write_bench(candidate, "BENCH_hotpath.json", hotpath(0.28))
         report = compare.compare_dirs(str(baseline), str(candidate))
         (bad,) = report["regressions"]
-        assert bad["metric"] == "merge.speedup"
-        assert bad["ratio"] == pytest.approx(0.6)
+        assert bad["metric"] == "merge.merge_only_ms_per_query"
+        assert bad["ratio"] == pytest.approx(1.4)
 
     def test_lower_is_better_regression(self, dirs):
         baseline, candidate = dirs

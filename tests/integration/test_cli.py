@@ -169,14 +169,6 @@ class TestExplainCommand:
             top["score"], rel=1e-9
         )
 
-    def test_explain_tuple_engine(self, built_index, capsys):
-        capsys.readouterr()
-        assert main(
-            ["explain", "--index", built_index, "--query", "datt",
-             "--engine", "tuple", "--format", "json"]
-        ) == 0
-        assert json.loads(capsys.readouterr().out)["engine"] == "tuple"
-
 
 class TestTraceCommand:
     def test_trace_text(self, built_index, capsys):

@@ -1,10 +1,9 @@
 """Tests for score provenance (repro.obs.explain).
 
 The acceptance bar: ``suggest_explained`` must reconstruct the top-1
-score from the logged factors alone to 1e-9 (relative) for BOTH
-engines on a DBLP workload — in practice the reconstruction is
-bit-identical because it replays the engine's own float operations in
-the engine's own order.
+score from the logged factors alone to 1e-9 (relative) on a DBLP
+workload — in practice the reconstruction is bit-identical because it
+replays the engine's own float operations in the engine's own order.
 """
 
 import math
@@ -18,9 +17,6 @@ from repro.index.corpus import build_corpus_index
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
-ENGINES = ("packed", "tuple")
-
-
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus_index(XMLDocument(paper_example_tree()))
@@ -31,47 +27,41 @@ def setting():
     return dblp_setting("small")
 
 
-def make_suggester(corpus, engine, **overrides):
-    defaults = dict(max_errors=2, engine=engine)
+def make_suggester(corpus, **overrides):
+    defaults = dict(max_errors=2)
     defaults.update(overrides)
     return XCleanSuggester(corpus, config=XCleanConfig(**defaults))
 
 
 class TestReconstructionPaperExample:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_scores_reconstruct_exactly(self, corpus, engine):
-        suggester = make_suggester(corpus, engine)
+    def test_scores_reconstruct_exactly(self, corpus):
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 5)
         assert explanation.suggestions, "expected candidates"
         for cand in explanation.suggestions:
             assert cand.reconstructed_score == cand.score
 
-    def test_engines_agree_on_explanations(self, corpus):
-        packed = make_suggester(corpus, "packed").suggest_explained(
-            "icdt tre", 5
-        )
-        tuple_ = make_suggester(corpus, "tuple").suggest_explained(
-            "icdt tre", 5
-        )
-        assert [c.tokens for c in packed.suggestions] == [
-            c.tokens for c in tuple_.suggestions
+    def test_skipping_modes_agree_on_explanations(self, corpus):
+        # The linear (no-skipping) mode walks the same groups in the
+        # same order, so every recorded factor is identical; only the
+        # read/skip counters in ``stats`` differ.
+        skipping = make_suggester(corpus).suggest_explained("icdt tre", 5)
+        linear = make_suggester(
+            corpus, use_skipping=False
+        ).suggest_explained("icdt tre", 5)
+        assert skipping.suggestions
+        assert [c.as_dict() for c in skipping.suggestions] == [
+            c.as_dict() for c in linear.suggestions
         ]
-        for a, b in zip(packed.suggestions, tuple_.suggestions):
-            assert a.score == b.score
-            assert a.result_type == b.result_type
-            assert [g.group for g in a.groups] == [
-                g.group for g in b.groups
-            ]
-            for ga, gb in zip(a.groups, b.groups):
-                assert ga.mass == pytest.approx(gb.mass, rel=1e-12)
+        assert skipping.events == linear.events
+        assert skipping.kernel_prunes == linear.kernel_prunes
 
 
 class TestReconstructionDblpWorkload:
     """The acceptance criterion, on real workload queries."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_top1_reconstructs_to_1e9(self, setting, engine):
-        suggester = setting.xclean(engine=engine)
+    def test_top1_reconstructs_to_1e9(self, setting):
+        suggester = setting.xclean()
         records = next(iter(setting.workloads.values()))
         checked = 0
         for record in records[:5]:
@@ -104,7 +94,7 @@ class TestReconstructionDblpWorkload:
 
 class TestFactorInternals:
     def test_error_factors_multiply_to_error_weight(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 5)
         for cand in explanation.suggestions:
             product = 1.0
@@ -121,7 +111,7 @@ class TestFactorInternals:
                 assert factor.distance <= suggester.config.max_errors
 
     def test_entity_masses_resum_to_group_mass(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 5)
         for cand in explanation.suggestions:
             for group in cand.groups:
@@ -136,7 +126,7 @@ class TestFactorInternals:
                     )
 
     def test_utility_winner_matches_result_type(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 5)
         for cand in explanation.suggestions:
             winners = [u for u in cand.utilities if u.winner]
@@ -147,7 +137,7 @@ class TestFactorInternals:
             assert winners[0].utility == pytest.approx(best)
 
     def test_length_prior_flows_into_prior_weight(self, corpus):
-        suggester = make_suggester(corpus, "packed", prior="length")
+        suggester = make_suggester(corpus, prior="length")
         explanation = suggester.suggest_explained("icdt tre", 5)
         cand = explanation.suggestions[0]
         assert explanation.suggestions[0].prior == "length"
@@ -161,11 +151,10 @@ class TestFactorInternals:
 
 
 class TestPruningEpochs:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_tiny_gamma_records_events_and_still_reconstructs(
-        self, setting, engine
+        self, setting
     ):
-        suggester = setting.xclean(engine=engine, gamma=1)
+        suggester = setting.xclean(gamma=1)
         records = next(iter(setting.workloads.values()))
         saw_events = False
         checked = 0
@@ -207,17 +196,16 @@ class TestExplanationShape:
     def test_as_dict_is_json_ready(self, corpus):
         import json
 
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 3)
         data = json.loads(json.dumps(explanation.as_dict()))
         assert data["query"] == "icdt tre"
-        assert data["engine"] == "packed"
         top = data["suggestions"][0]
         assert top["score"] == top["reconstructed_score"]
         assert top["groups"][0]["entities"]
 
     def test_render_mentions_every_candidate(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("icdt tre", 3)
         text = explanation.render()
         for cand in explanation.suggestions:
@@ -226,13 +214,13 @@ class TestExplanationShape:
         assert "U(C," in text
 
     def test_recorder_detaches_after_explain(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         suggester.suggest_explained("icdt tre", 3)
         assert suggester._recorder is None
         # A later plain suggest is unaffected.
         assert suggester.suggest("icdt tre", 3)
 
     def test_unanswerable_query_has_no_candidates(self, corpus):
-        suggester = make_suggester(corpus, "packed")
+        suggester = make_suggester(corpus)
         explanation = suggester.suggest_explained("zzzzzz", 3)
         assert explanation.suggestions == ()

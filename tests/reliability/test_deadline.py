@@ -1,7 +1,8 @@
 """Deadline-aware execution: anytime answers, never a raise.
 
 The contract (docs/serving.md → Reliability): with no deadline the
-engines behave byte-identically to the pre-deadline code; a generous
+merge loop behaves byte-identically to the pre-deadline code, with
+skipping on and off; a generous
 deadline returns the exact top-k; an expired deadline returns the
 best-so-far top-k with ``CleaningStats.partial=True`` — and partial
 answers are served but never cached.
@@ -56,17 +57,17 @@ class TestDeadlineClock:
         assert any(deadline.expired() for _ in range(5))
 
 
-@pytest.mark.parametrize("engine", ["packed", "tuple"])
+@pytest.mark.parametrize("use_skipping", [True, False])
 class TestEquivalence:
     QUERIES = ["tree icdt", "databas", "tree icde"]
 
     @staticmethod
-    def _answers(corpus, engine, deadline_seconds):
+    def _answers(corpus, use_skipping, deadline_seconds):
         suggester = XCleanSuggester(
             corpus,
             config=XCleanConfig(
                 max_errors=1,
-                engine=engine,
+                use_skipping=use_skipping,
                 deadline_seconds=deadline_seconds,
             ),
         )
@@ -79,21 +80,25 @@ class TestEquivalence:
             )
         return out
 
-    def test_generous_deadline_matches_no_deadline(self, corpus, engine):
-        exact = self._answers(corpus, engine, None)
-        budgeted = self._answers(corpus, engine, 60.0)
+    def test_generous_deadline_matches_no_deadline(
+        self, corpus, use_skipping
+    ):
+        exact = self._answers(corpus, use_skipping, None)
+        budgeted = self._answers(corpus, use_skipping, 60.0)
         assert budgeted == exact
 
 
-@pytest.mark.parametrize("engine", ["packed", "tuple"])
+@pytest.mark.parametrize("use_skipping", [True, False])
 class TestPartialResults:
     def test_expired_deadline_returns_partial_not_raises(
-        self, corpus, engine
+        self, corpus, use_skipping
     ):
         suggester = XCleanSuggester(
             corpus,
             config=XCleanConfig(
-                max_errors=1, engine=engine, deadline_seconds=0.01
+                max_errors=1,
+                use_skipping=use_skipping,
+                deadline_seconds=0.01,
             ),
         )
         # Burn the whole budget before the merge loop starts: the first
@@ -104,9 +109,9 @@ class TestPartialResults:
         assert suggester.last_stats.partial is True
         assert isinstance(suggestions, list)
 
-    def test_partial_never_cached_serial(self, corpus, engine):
+    def test_partial_never_cached_serial(self, corpus, use_skipping):
         config = XCleanConfig(
-            max_errors=1, engine=engine, deadline_seconds=0.01
+            max_errors=1, use_skipping=use_skipping, deadline_seconds=0.01
         )
         service = SuggestionService(corpus, config=config)
         with injected("variant.gen:delay=0.05"):
@@ -121,7 +126,7 @@ class TestPartialResults:
         # reference.
         relaxed = SuggestionService(
             corpus,
-            config=XCleanConfig(max_errors=1, engine=engine),
+            config=XCleanConfig(max_errors=1, use_skipping=use_skipping),
         )
         exact = relaxed.suggest("tree icdt", 5)
         assert [s.tokens for s in exact]
