@@ -23,61 +23,49 @@ coordinator fails over to the next one, then (by default) degrades to
 an in-process run of that shard, and only as a last resort omits the
 shard and flags the answer ``partial``.
 
-The public surface mirrors :class:`~repro.core.server.SuggestionService`
-— ``suggest`` / ``suggest_detailed`` / ``suggest_batch`` /
-``suggest_batch_detailed``, admission control, the result LRU keyed on
-manifest identity + generation, metrics, tracing, and the flight
-recorder — so the HTTP front-end and the CLI drive either one.
+Everything around the scatter-gather — admission control, the result
+LRU keyed on manifest identity + swap epoch, the batch API, metrics,
+tracing and the flight recorder — is the serving core the single-index
+service also runs on (:class:`~repro.core.serving.ServingCore`; see
+``docs/serving.md`` → Serving core), so the HTTP front-end and the CLI
+drive either one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
-import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from contextlib import contextmanager
 from dataclasses import dataclass
-from time import monotonic, perf_counter
-from typing import Iterator, Sequence
+from time import perf_counter
+from typing import Sequence
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.pruning import add_partial
-from repro.core.server import (
+from repro.core.serving import (
     DEFAULT_BREAKER_COOLDOWN,
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CLOSE_GRACE,
     DEFAULT_RESULT_CACHE_SIZE,
-    DEFAULT_RETRY_AFTER,
-    _LATENCY_EWMA_ALPHA,
     CircuitBreaker,
-    _enter_worker,
+    ServingCore,
+    _init_worker_snapshot,
+    reap_processes,
+    stop_pool,
+    worker_task,
 )
 from repro.core.suggestion import CleaningStats, Suggestion
-from repro.exceptions import (
-    ConfigurationError,
-    Overloaded,
-    QueryError,
-    StorageError,
-)
+from repro.exceptions import ConfigurationError, QueryError, StorageError
 from repro.index.sharding import ShardManifest, load_manifest
-from repro.obs import MetricsRegistry, MetricsSnapshot
-from repro.obs.faults import active as _active_faults
-from repro.obs.recorder import FlightEntry, FlightRecorder
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
+from repro.obs.trace import NULL_TRACER, Tracer
 
 logger = logging.getLogger(__name__)
-
-#: Result-LRU key: ((manifest crc, generation), normalized tokens, k) —
-#: same shape as the single-index service's key, with the manifest CRC
-#: standing in for the index identity.
-_CacheKey = tuple[tuple[int, int], tuple[str, ...], int]
 
 #: Replica routing policies.
 ROUTING_POLICIES = ("round-robin", "least-loaded")
@@ -85,84 +73,22 @@ ROUTING_POLICIES = ("round-robin", "least-loaded")
 DEFAULT_ROUTING = "round-robin"
 
 
-# ----------------------------------------------------------------------
-# Shard-worker plumbing.  Module-level so the worker side is picklable;
-# each replica process builds its shard suggester once in the
-# initializer and reuses it for every query it is handed.
-# ----------------------------------------------------------------------
-
-_SHARD_SUGGESTER: XCleanSuggester | None = None
-_SHARD_METRICS: MetricsRegistry | None = None
-
-
-def _init_shard_worker(snapshot_path: str, config: XCleanConfig) -> None:
-    """Initializer of a single-shard replica process.
-
-    Maps the shard's v3 snapshot; every replica of the shard maps the
-    same file, so its bytes live once in the OS page cache no matter
-    how many replicas serve it.
-    """
-    global _SHARD_SUGGESTER, _SHARD_METRICS
-    from repro.index.snapshot import load_snapshot
-
-    _enter_worker(config)
-    _SHARD_METRICS = MetricsRegistry(buckets=config.latency_buckets)
-    _SHARD_SUGGESTER = XCleanSuggester(
-        load_snapshot(snapshot_path), config=config,
-        metrics=_SHARD_METRICS,
-    )
-
-
 def _worker_shard_partials(task: tuple[str, dict | None, int]):
     """Answer one scatter leg: this shard's partial accumulator table.
 
-    ``task`` is ``(query, trace_ctx, shard_id)``.  Returns
-    ``(rows, stats, extras)`` where ``rows`` is the shard's full
-    partial table (``XCleanSuggester.partial_rows``), or ``None`` for
-    an unanswerable query — tokenization is global, so one shard's
-    ``QueryError`` means every shard's, and the coordinator re-raises.
-    ``extras`` carries the worker's per-query stage-timer deltas and,
-    when traced, the finished ``shard.worker`` span subtree.
+    ``task`` is ``(query, trace_ctx, shard_id)``; the replica process
+    runs it through ``serving.worker_task``.  Returns ``(rows, stats,
+    extras)`` where ``rows`` is the shard's full partial table
+    (``XCleanSuggester.partial_rows``), or ``None`` for an unanswerable
+    query — tokenization is global, so one shard's ``QueryError`` means
+    every shard's, and the coordinator re-raises.
     """
     query, trace_ctx, shard_id = task
-    assert _SHARD_SUGGESTER is not None, "shard worker not initialized"
-    faults = _active_faults()
-    if faults.enabled:
-        # ``raise`` surfaces in the coordinator as a replica failure
-        # (failover → degrade ladder); ``delay`` past worker_timeout
-        # exercises the timeout leg of the same ladder.
-        faults.hit("shard.query")
-    registry = _SHARD_METRICS
-    before = registry.stage_states() if registry is not None else {}
-    tracer = None
-    worker_span = None
-    if trace_ctx is not None:
-        tracer = Tracer()
-        tracer.begin(
-            "shard.worker",
-            trace_id=trace_ctx.get("trace_id"),
-            query=query,
-            shard=shard_id,
-            pid=os.getpid(),
-        )
-        _SHARD_SUGGESTER.bind_tracer(tracer)
-    try:
-        try:
-            rows, stats = _SHARD_SUGGESTER.partial_rows(query)
-        except QueryError:
-            return None
-    finally:
-        if tracer is not None:
-            worker_span = tracer.end()
-            _SHARD_SUGGESTER.bind_tracer(None)
-    extras: dict = {}
-    if registry is not None:
-        deltas = registry.stage_deltas(before)
-        if deltas:
-            extras["stages"] = deltas
-    if worker_span is not None:
-        extras["span"] = worker_span
-    return rows, stats, extras or None
+    return worker_task(
+        "shard.query", "shard.worker", trace_ctx,
+        lambda suggester: suggester.partial_rows(query),
+        query=query, shard=shard_id,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +253,7 @@ class _Replica:
         self._on_start = on_start
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
-        #: Workers of retired pools, reaped by ``shutdown``.
+        #: Workers of retired pools, reaped by :meth:`drain`'s caller.
         self._orphans: list = []
 
     def submit(self, task):
@@ -336,7 +262,7 @@ class _Replica:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=1,
-                    initializer=_init_shard_worker,
+                    initializer=_init_worker_snapshot,
                     initargs=(self.snapshot_path, self._config),
                 )
                 if self._on_start is not None:
@@ -358,31 +284,26 @@ class _Replica:
         """Tear the pool down without waiting; next submit restarts it."""
         with self._lock:
             pool, self._pool = self._pool, None
-            if pool is None:
-                return
-            processes = list(
-                (getattr(pool, "_processes", None) or {}).values()
-            )
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is None:
+            return
+        processes = stop_pool(pool)
         with self._lock:
             self._orphans.extend(p for p in processes if p.is_alive())
 
     def drain(self) -> list:
-        """Shut down; returns processes for the caller to grace-join."""
+        """Shut down; returns processes for the caller to reap."""
         with self._lock:
             pool, self._pool = self._pool, None
-            processes = list(self._orphans)
-            self._orphans = []
+            processes, self._orphans = self._orphans, []
         if pool is not None:
-            processes.extend(
-                (getattr(pool, "_processes", None) or {}).values()
-            )
-            pool.shutdown(wait=False, cancel_futures=True)
+            processes.extend(stop_pool(pool))
         return processes
 
 
-class ShardedSuggestionService:
+class ShardedSuggestionService(ServingCore):
     """Scatter-gather query serving over a shard manifest."""
+
+    _mode = "sharded"
 
     def __init__(
         self,
@@ -413,92 +334,42 @@ class ShardedSuggestionService:
             )
         if replicas < 0:
             raise ConfigurationError("replicas must be >= 0")
-        if max_pending is not None and max_pending < 1:
-            raise ConfigurationError(
-                "max_pending must be >= 1 or None (unbounded)"
-            )
-        self.manifest = manifest
-        self.config = config or XCleanConfig()
-        if manifest.partition_depth > self.config.min_depth:
+        min_depth = (config or XCleanConfig()).min_depth
+        if manifest.partition_depth > min_depth:
             # Groups are rooted at min_depth; a coarser partition depth
             # keeps every group (hence every entity fold) on one shard.
             raise ConfigurationError(
                 f"manifest partition_depth {manifest.partition_depth} "
-                f"exceeds min_depth {self.config.min_depth}: subtree "
+                f"exceeds min_depth {min_depth}: subtree "
                 "groups would span shards and the merge would not be "
                 "exact"
             )
-        self.metrics_registry = metrics or MetricsRegistry(
-            buckets=self.config.latency_buckets
+        super().__init__(
+            stats=ShardedServiceStats(),
+            config=config,
+            result_cache_size=result_cache_size,
+            workers=workers,
+            worker_timeout=worker_timeout,
+            metrics=metrics,
+            max_pending=max_pending,
+            close_grace=close_grace,
+            tracer=tracer,
+            flight_recorder=flight_recorder,
+            flight_record_path=flight_record_path,
+            slow_threshold=slow_threshold,
         )
-        self._installed_faults = False
-        if self.config.fault_plan is not None:
-            from repro.obs import faults
-
-            faults.install_spec(
-                self.config.fault_plan, seed=self.config.fault_seed
-            )
-            self._installed_faults = True
-        self.tracer = tracer or NULL_TRACER
-        if flight_recorder is not None:
-            self.flight_recorder: FlightRecorder | None = (
-                flight_recorder
-            )
-        elif self.tracer.enabled:
-            self.flight_recorder = FlightRecorder(
-                slow_threshold=slow_threshold
-            )
-        else:
-            self.flight_recorder = None
-        if (
-            self.flight_recorder is not None
-            and slow_threshold is not None
-        ):
-            self.flight_recorder.slow_threshold = slow_threshold
-        self.flight_record_path = flight_record_path
+        self.manifest = manifest
         self.replicas = replicas
         self.routing = routing
-        self.workers = workers
-        self.worker_timeout = worker_timeout
-        self.max_pending = max_pending
-        self.close_grace = close_grace
         self.degrade_in_process = degrade_in_process
-        self.result_cache_size = result_cache_size
-        self._result_cache: OrderedDict[
-            _CacheKey, tuple[Suggestion, ...]
-        ] = OrderedDict()
-        self.stats = ShardedServiceStats()
-        self.last_stats = CleaningStats()
         self._shard_paths = manifest.shard_paths()
         self.shard_count = len(self._shard_paths)
-        #: Bookkeeping lock (stats, cache, admission, EWMA, routing
-        #: cursors).  Reentrant; never held across computation.
-        self._lock = threading.RLock()
-        #: Serializes in-process shard suggesters (their caches and
-        #: ``last_stats`` are not thread-safe).
-        self._compute_lock = threading.Lock()
-        self._sink_local = threading.local()
-        self._latency_ewma = 0.0
-        self._inflight = 0
-        self._generation = 0
-        #: Generation-swap gate: while True, :meth:`admit` blocks new
-        #: queries (instead of shedding) until the swap completes, and
-        #: the swap itself waits for in-flight queries to drain — so a
-        #: scatter-gather can never merge partials from two different
-        #: generations.  Queries are briefly queued, never dropped.
-        self._swapping = False
-        self._swap_gate = threading.Condition(self._lock)
-        #: The sharded live-index manager once
-        #: :meth:`enable_live_updates` ran; ``None`` otherwise.
-        self._live = None
-        #: Serializes writers (apply/compact) against each other.
-        self._update_lock = threading.Lock()
-        self._closed = False
         #: Lazily built in-process suggesters, one per shard — the
         #: replicas=0 serving mode and the degrade fallback.
         self._local: dict[int, XCleanSuggester] = {}
         self._local_lock = threading.Lock()
-        #: Per-shard replica pools and round-robin cursors.
+        #: Per-shard replica pools and round-robin cursors (the cursors
+        #: are guarded by ``_lock``).
         self._pools: list[list[_Replica]] = []
         self._rr = [0] * self.shard_count
         for shard_id, path in enumerate(self._shard_paths):
@@ -520,117 +391,87 @@ class ShardedSuggestionService:
         # first snapshot up front.
         self.corpus = self._local_suggester(0).corpus
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut every replica pool down.  Idempotent.
-
-        The service stays usable in-process afterwards.  Mirrors
-        ``SuggestionService.close``: workers get ``close_grace``
-        seconds (one shared deadline) to exit, then are terminated
-        and, as a last resort, killed.
-        """
-        self._closed = True
-        if self._live is not None:
-            self._live.close()
-        processes: list = []
-        for row in self._pools:
-            for replica in row:
-                processes.extend(replica.drain())
-        processes = [p for p in processes if p.is_alive()]
-        if processes:
-            grace_ends = monotonic() + max(0.0, self.close_grace)
-            for process in processes:
-                process.join(max(0.0, grace_ends - monotonic()))
-            stragglers = [p for p in processes if p.is_alive()]
-            for process in stragglers:
-                logger.warning(
-                    "shard worker %s did not exit within %.1fs; "
-                    "terminating", process.pid, self.close_grace,
-                )
-                process.terminate()
-            for process in stragglers:
-                process.join(1.0)
-                if process.is_alive():  # pragma: no cover
-                    process.kill()
-                    process.join(1.0)
-        if self._installed_faults:
-            from repro.obs import faults
-
-            faults.uninstall()
-            self._installed_faults = False
-
-    def __enter__(self) -> "ShardedSuggestionService":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def metrics(self) -> MetricsSnapshot:
-        """Metrics snapshot; includes per-shard stage-timer labels.
-
-        Replica workers ship per-query stage deltas back with every
-        answer; the coordinator merges them into the global stage
-        timers *and* re-records each stage total under
-        ``shard_stage_seconds_total{shard=..., stage=...}`` so hot
-        shards are visible per stage.
-        """
-        return self.metrics_registry.snapshot()
+    # Bound in this class body because perfbench's traced pass wraps
+    # the service entry point through the class ``__dict__``.
+    suggest_detailed = ServingCore.suggest_detailed
 
     def bump_generation(self) -> None:
         """Invalidate every cached answer (snapshot set replaced)."""
         with self._lock:
-            self._generation += 1
+            self._swap_epoch += 1
 
     # ------------------------------------------------------------------
-    # The ops plane (/readyz, /statusz — see repro/obs/ops.py)
+    # Serving-core hooks
     # ------------------------------------------------------------------
 
-    def health(self, *, draining: bool = False):
-        """Readiness verdict: ready / degraded / not_ready + reasons.
+    def _index_identity(self) -> tuple[int, int]:
+        """The manifest CRC and the swap epoch (see bump_generation)."""
+        return (self.manifest.crc, self._swap_epoch)
 
-        A generation swap in progress is **ready**: the gate queues
-        arrivals instead of shedding them, so routine live updates
-        must not flap readiness.  An open replica breaker degrades; a
-        shard whose every replica breaker is open has fallen back to
-        in-process execution entirely — degraded too (and named so).
+    def _batch_width(self, workers: int | None) -> int:
+        """Coordinator threads per batch; default ``replicas + 1``.
+
+        Without replica pools (or once closed) every leg runs
+        in-process under one lock, so a batch is served serially.
         """
-        from repro.obs.ops import evaluate_health
+        if self.replicas == 0 or self._closed:
+            return 1
+        workers = self.workers if workers is None else workers
+        return self.replicas + 1 if workers is None else workers
 
+    def _compute_misses(
+        self, queries: list[str], k: int, width: int, cost: int
+    ) -> list:
+        """Scatter each unique miss, untraced, from its own thread.
+
+        Distinct queries overlap on distinct replicas.  Only
+        ``QueryError`` makes a query unanswerable; a ``StorageError``
+        (every shard failed) propagates, as from the single-query path.
+        """
+
+        def compute(query):
+            try:
+                return self._compute(query, k, traced=False)
+            except QueryError:
+                return None
+
+        with ThreadPoolExecutor(
+            max_workers=min(width, len(queries))
+        ) as executor:
+            return list(executor.map(compute, queries))
+
+    def _degraded_reasons(self) -> list[tuple[bool, str]]:
+        """An open replica breaker degrades; a shard whose every
+        replica breaker is open has fallen back to in-process execution
+        entirely — degraded too (and named so).  A generation swap in
+        progress is *ready*: the gate queues arrivals instead of
+        shedding them, so routine live updates must not flap readiness.
+        """
         degraded: list[tuple[bool, str]] = []
-        with self._lock:
-            closed = self._closed
-            for row in self._pools:
-                open_replicas = 0
-                for replica in row:
-                    if replica.breaker.state == "open":
-                        open_replicas += 1
-                        degraded.append((
-                            True,
-                            f"breaker_open shard={replica.shard_id} "
-                            f"replica={replica.replica_id}",
-                        ))
-                if row and open_replicas == len(row):
+        for row in self._pools:
+            open_replicas = 0
+            for replica in row:
+                if replica.breaker.state == "open":
+                    open_replicas += 1
                     degraded.append((
                         True,
-                        f"in_process_fallback "
-                        f"shard={row[0].shard_id}",
+                        f"breaker_open shard={replica.shard_id} "
+                        f"replica={replica.replica_id}",
                     ))
-        return evaluate_health(
-            not_ready=[
-                (closed, "service_closed"),
-                (draining, "draining"),
-            ],
-            degraded=degraded,
-        )
+            if row and open_replicas == len(row):
+                degraded.append((
+                    True,
+                    f"in_process_fallback shard={row[0].shard_id}",
+                ))
+        return degraded
 
-    def status(self) -> dict:
-        """The service half of ``/statusz`` (see ``obs/ops.py``)."""
-        with self._lock:
-            shards = [
+    def _status_extras(self) -> dict:
+        return {
+            "swapping": self._swapping,
+            "shard_count": self.shard_count,
+            "replicas": self.replicas,
+            "routing": self.routing,
+            "shards": [
                 {
                     "shard": shard_id,
                     "path": self._shard_paths[shard_id],
@@ -644,25 +485,25 @@ class ShardedSuggestionService:
                     ],
                 }
                 for shard_id, row in enumerate(self._pools)
-            ]
-            payload = {
-                "mode": "sharded",
-                "data_generation": self.data_generation,
-                "swap_epoch": self._generation,
-                "swapping": self._swapping,
-                "inflight": self._inflight,
-                "shard_count": self.shard_count,
-                "replicas": self.replicas,
-                "routing": self.routing,
-                "closed": self._closed,
-                "shards": shards,
-                "stats": dataclasses.asdict(self.stats),
-            }
-        live = self._live
-        payload["live"] = (
-            live.status() if live is not None else None
+            ],
+        }
+
+    def _shutdown_workers(self) -> None:
+        reap_processes(
+            [
+                process
+                for row in self._pools
+                for replica in row
+                for process in replica.drain()
+            ],
+            self.close_grace,
         )
-        return payload
+
+    def _span_attributes(self) -> dict:
+        return {"shards": self.shard_count}
+
+    def _note_pool_start(self) -> None:
+        self._count("pool_starts")
 
     # ------------------------------------------------------------------
     # Live updates & the generation swap
@@ -672,22 +513,10 @@ class ShardedSuggestionService:
     # delta overlay (a coordinator-side overlay would have to straddle
     # the partition), so ``apply_updates`` WAL-acks the records against
     # the manifest directory, rebuilds every shard at generation N+1
-    # through the atomic writer, and swaps the manifest in.  The swap
-    # gate in :meth:`admit`/:meth:`release` drains in-flight scatters
-    # first — a gathered answer always merges partials of exactly one
-    # generation, and gated arrivals are queued, never dropped.
-
-    @property
-    def data_generation(self) -> int:
-        """The data generation currently being served."""
-        if self._live is not None:
-            return self._live.generation
-        return self.manifest.generation
-
-    @property
-    def live(self):
-        """The live-index manager, or ``None`` before enablement."""
-        return self._live
+    # through the atomic writer, and swaps the manifest in.  The core's
+    # swap gate drains in-flight scatters first — a gathered answer
+    # always merges partials of exactly one generation, and gated
+    # arrivals are queued, never dropped.
 
     def enable_live_updates(
         self,
@@ -735,15 +564,6 @@ class ShardedSuggestionService:
                 self._swap_manifest_locked(live.base)
         return live
 
-    def _require_live(self):
-        live = self._live
-        if live is None:
-            raise ConfigurationError(
-                "live updates are not enabled; call "
-                "enable_live_updates() first"
-            )
-        return live
-
     def apply_updates(
         self, records, workers: int | None = None
     ) -> int:
@@ -776,12 +596,7 @@ class ShardedSuggestionService:
             if applied:
                 live.compact(workers=workers)
                 self._swap_manifest_locked(live.base)
-                with self._lock:
-                    self.stats.updates_applied += applied
-                if self.metrics_registry.enabled:
-                    self.metrics_registry.inc(
-                        "updates_applied_total", applied
-                    )
+                self._count("updates_applied", applied)
         if error is not None:
             raise error
         return applied
@@ -802,13 +617,13 @@ class ShardedSuggestionService:
     def _swap_manifest_locked(self, manifest) -> None:
         """Install a freshly built manifest; zero dropped queries.
 
-        Caller holds ``_update_lock``.  Raises the swap gate, waits
+        Caller holds ``_update_lock``.  Closes the swap gate and waits
         for in-flight scatters to drain (their answers are entirely
-        pre-swap), installs the new shard set, retires every replica
-        pool (workers re-map the new snapshot files on next dispatch),
-        and drops the in-process suggesters so the degrade path
-        re-loads too.  The result cache rolls over via the manifest
-        CRC + generation in the cache key.
+        pre-swap; see :meth:`ServingCore._drained`), installs the new
+        shard set, retires every replica pool (workers re-map the new
+        snapshot files on next dispatch), and drops the in-process
+        suggesters so the degrade path re-loads too.  The result cache
+        rolls over via the manifest CRC + swap epoch in the cache key.
         """
         paths = manifest.shard_paths()
         if len(paths) != self.shard_count:
@@ -818,12 +633,8 @@ class ShardedSuggestionService:
             )
         metrics = self.metrics_registry
         began = perf_counter() if metrics.enabled else 0.0
-        with self._lock:
-            self._swapping = True
-            while self._inflight > 0:
-                self._swap_gate.wait()
-        drained = perf_counter() if metrics.enabled else 0.0
-        try:
+        with self._drained():
+            drained = perf_counter() if metrics.enabled else 0.0
             with self._local_lock:
                 self._local = {}
             for row, path in zip(self._pools, paths):
@@ -833,269 +644,16 @@ class ShardedSuggestionService:
             with self._lock:
                 self.manifest = manifest
                 self._shard_paths = paths
-                self._generation += 1
-                self.stats.generation_swaps += 1
+                self._swap_epoch += 1
+            self._count("generation_swaps")
             self.corpus = self._local_suggester(0).corpus
             if metrics.enabled:
-                metrics.inc("generation_swaps_total")
                 # Drain time is the availability-relevant slice: how
                 # long new arrivals sat queued behind the gate.
                 metrics.observe_stage("swap_drain", drained - began)
                 metrics.observe_stage(
                     "swap", perf_counter() - began
                 )
-        finally:
-            with self._lock:
-                self._swapping = False
-                self._swap_gate.notify_all()
-
-    # ------------------------------------------------------------------
-    # Tracing & the flight recorder (mirrors SuggestionService)
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def _traced_request(self, name: str, query: str,
-                        trace_id: str | None = None,
-                        **attributes) -> Iterator[None]:
-        tracer = self.tracer
-        if not tracer.enabled:
-            yield
-            return
-        owns = tracer.current() is None
-        if not owns:
-            with tracer.span(name, query=query, **attributes):
-                yield
-            return
-        stats = self.stats
-        partial0 = stats.partial_results
-        degraded0 = stats.degraded_queries
-        faults = _active_faults()
-        fired0 = sum(faults.fired().values()) if faults.enabled else 0
-        tracer.begin(name, trace_id=trace_id, query=query, **attributes)
-        error: str | None = None
-        try:
-            yield
-        except BaseException as exc:
-            error = type(exc).__name__
-            tracer.annotate(error=error)
-            raise
-        finally:
-            root = tracer.end()
-            recorder = self.flight_recorder
-            if root is not None and recorder is not None:
-                fired = (
-                    sum(faults.fired().values())
-                    if faults.enabled else 0
-                )
-                recorder.record(FlightEntry(
-                    root,
-                    query=query,
-                    latency_s=root.duration,
-                    partial=stats.partial_results > partial0,
-                    degraded=stats.degraded_queries > degraded0,
-                    faulted=fired > fired0,
-                    error=error,
-                ))
-
-    @property
-    def _stats_sink(self) -> list[CleaningStats] | None:
-        return getattr(self._sink_local, "sink", None)
-
-    @_stats_sink.setter
-    def _stats_sink(self, value: list[CleaningStats] | None) -> None:
-        self._sink_local.sink = value
-
-    def _note_stats(self, stats: CleaningStats) -> None:
-        with self._lock:
-            self.last_stats = stats
-        sink = self._stats_sink
-        if sink is not None:
-            sink.append(stats)
-
-    def _note_unanswerable(self) -> None:
-        sink = self._stats_sink
-        if sink is not None:
-            sink.append(CleaningStats())
-
-    def _note_pool_start(self) -> None:
-        with self._lock:
-            self.stats.pool_starts += 1
-        if self.metrics_registry.enabled:
-            self.metrics_registry.inc("pool_starts_total")
-
-    def dump_flight_record(
-        self, path: str | None = None, reason: str = "on_demand"
-    ) -> str:
-        recorder = self.flight_recorder
-        if recorder is None:
-            raise ConfigurationError(
-                "no flight recorder attached — construct the service "
-                "with a live tracer or an explicit flight_recorder"
-            )
-        destination = path or self.flight_record_path
-        if destination is None:
-            return recorder.dump_jsonl(reason)
-        return recorder.dump_to(destination, reason)
-
-    def _on_breaker_open(self) -> None:
-        recorder = self.flight_recorder
-        if recorder is None:
-            return
-        if self.metrics_registry.enabled:
-            self.metrics_registry.inc(
-                "flight_dumps_total", reason="breaker_open"
-            )
-        path = self.flight_record_path
-        if path is None:
-            logger.warning(
-                "flight record (breaker_open): %d traces retained in "
-                "memory", len(recorder),
-            )
-            return
-        try:
-            recorder.dump_to(path, "breaker_open")
-        except OSError as error:  # pragma: no cover - disk trouble
-            logger.warning(
-                "flight record dump to %s failed: %s", path, error
-            )
-
-    # ------------------------------------------------------------------
-    # Result cache & admission control (mirrors SuggestionService)
-    # ------------------------------------------------------------------
-
-    def _cache_key(self, query: str, k: int) -> _CacheKey:
-        return (
-            (self.manifest.crc, self._generation),
-            tuple(self.corpus.tokenizer.tokenize(query)),
-            k,
-        )
-
-    def _cache_put(
-        self, key: _CacheKey, suggestions: Sequence[Suggestion]
-    ) -> None:
-        with self._lock:
-            cache = self._result_cache
-            cache[key] = tuple(suggestions)
-            while len(cache) > self.result_cache_size:
-                cache.popitem(last=False)
-
-    def retry_after_hint(self) -> float:
-        with self._lock:
-            return max(DEFAULT_RETRY_AFTER, self._latency_ewma)
-
-    def _observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            if self._latency_ewma == 0.0:
-                self._latency_ewma = seconds
-            else:
-                self._latency_ewma += _LATENCY_EWMA_ALPHA * (
-                    seconds - self._latency_ewma
-                )
-
-    def admit(self, cost: int = 1) -> None:
-        with self._lock:
-            while self._swapping:
-                # A generation swap is in progress: queue (don't shed)
-                # until the new manifest is installed, so no scatter
-                # straddles two generations.
-                self._swap_gate.wait()
-            limit = self.max_pending
-            if limit is not None and self._inflight + cost > limit:
-                self.stats.shed_queries += cost
-                if self.metrics_registry.enabled:
-                    self.metrics_registry.inc(
-                        "shed_queries_total", cost
-                    )
-                raise Overloaded(
-                    f"admission queue full ({self._inflight} in "
-                    f"flight + {cost} requested > limit {limit})",
-                    retry_after=max(
-                        DEFAULT_RETRY_AFTER, self._latency_ewma
-                    ),
-                )
-            self._inflight += cost
-
-    def release(self, cost: int = 1) -> None:
-        with self._lock:
-            self._inflight -= cost
-            if self._swapping and self._inflight == 0:
-                self._swap_gate.notify_all()
-
-    # ------------------------------------------------------------------
-    # Single-query path
-    # ------------------------------------------------------------------
-
-    def suggest(self, query: str, k: int = 10) -> list[Suggestion]:
-        """Exact global top-k, byte-identical to a single-index run.
-
-        Raises:
-            QueryError: when the query has no usable keywords.
-            Overloaded: when admission control is over ``max_pending``.
-        """
-        return self.suggest_detailed(query, k)[0]
-
-    def suggest_detailed(
-        self, query: str, k: int = 10, *, pre_admitted: bool = False,
-        trace_id: str | None = None,
-    ) -> tuple[list[Suggestion], CleaningStats]:
-        """:meth:`suggest` plus this call's own :class:`CleaningStats`."""
-        with self._traced_request(
-            "request", query, trace_id=trace_id,
-            shards=self.shard_count,
-        ):
-            if not pre_admitted:
-                self.admit(1)
-            try:
-                return self._suggest_one_detailed(query, k)
-            finally:
-                if not pre_admitted:
-                    self.release(1)
-
-    def _suggest_one_detailed(
-        self, query: str, k: int, traced: bool = True
-    ) -> tuple[list[Suggestion], CleaningStats]:
-        metrics = self.metrics_registry
-        began = perf_counter()
-        key = self._cache_key(query, k)
-        with self._lock:
-            self.stats.queries_served += 1
-            if metrics.enabled:
-                metrics.inc("queries_total")
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                self._result_cache.move_to_end(key)
-                self.stats.result_cache_hits += 1
-                stats = CleaningStats(
-                    result_cache_hits=1,
-                    trace_id=self.tracer.trace_id,
-                )
-                self._note_stats(stats)
-                if metrics.enabled:
-                    metrics.inc("result_cache_hits_total")
-                    metrics.observe(
-                        "request_seconds", perf_counter() - began
-                    )
-                return list(cached), stats
-        suggestions, stats = self._compute(query, k, traced=traced)
-        with self._lock:
-            self.stats.result_cache_misses += 1
-            stats.result_cache_misses += 1
-            self._note_stats(stats)
-            if stats.partial:
-                # A shard was omitted: serve the best-effort answer
-                # but never cache it — a transient replica outage must
-                # not become a permanently incomplete top-k.
-                self.stats.partial_results += 1
-                if metrics.enabled:
-                    metrics.inc("partial_results_total")
-            else:
-                self._cache_put(key, suggestions)
-            elapsed = perf_counter() - began
-            self._observe_latency(elapsed)
-            if metrics.enabled:
-                metrics.inc("result_cache_misses_total")
-                metrics.observe("request_seconds", elapsed)
-        return list(suggestions), stats
 
     # ------------------------------------------------------------------
     # Scatter / gather
@@ -1161,7 +719,6 @@ class ShardedSuggestionService:
         (next replica → in-process → omit) serially — failover is the
         cold path.
         """
-        metrics = self.metrics_registry
         orders = [
             self._replica_order(sid)
             for sid in range(self.shard_count)
@@ -1173,9 +730,7 @@ class ShardedSuggestionService:
                 if not replica.breaker.allow():
                     continue
                 order.remove(replica)
-                primary = self._dispatch(
-                    replica, (query, trace_ctx, sid), metrics
-                )
+                primary = self._dispatch(replica, (query, trace_ctx, sid))
                 break
             primaries.append(primary)
         return [
@@ -1186,9 +741,7 @@ class ShardedSuggestionService:
             for sid in range(self.shard_count)
         ]
 
-    def _dispatch(
-        self, replica: _Replica, task, metrics
-    ) -> tuple | None:
+    def _dispatch(self, replica: _Replica, task) -> tuple | None:
         """Submit one leg; returns (replica, future, wall, perf)."""
         wall, perf = time.time(), perf_counter()
         try:
@@ -1196,23 +749,11 @@ class ShardedSuggestionService:
         except Exception:
             self._replica_failed(replica, "worker_failures")
             return None
-        with self._lock:
-            self.stats.shard_dispatches += 1
-        if metrics.enabled:
-            metrics.inc(
-                "shard_dispatches_total",
-                shard=str(replica.shard_id),
-            )
+        self._count("shard_dispatches", shard=str(replica.shard_id))
         return replica, future, wall, perf
 
     def _replica_failed(self, replica: _Replica, counter: str) -> None:
-        with self._lock:
-            setattr(
-                self.stats, counter,
-                getattr(self.stats, counter) + 1,
-            )
-        if self.metrics_registry.enabled:
-            self.metrics_registry.inc(f"{counter}_total")
+        self._count(counter)
         replica.breaker.record_failure()
         # One process per pool: a failed or hung worker poisons it, so
         # retire the pool and re-fork lazily on the next dispatch.
@@ -1228,7 +769,6 @@ class ShardedSuggestionService:
         tracer,
     ) -> tuple:
         """One shard's answer: replica ladder → in-process → omitted."""
-        metrics = self.metrics_registry
         task = (query, trace_ctx, sid)
         attempts = 0
         pending = primary
@@ -1242,7 +782,7 @@ class ShardedSuggestionService:
                         break
                 if replica is None:
                     break
-                pending = self._dispatch(replica, task, metrics)
+                pending = self._dispatch(replica, task)
                 if pending is None:
                     continue
             replica, future, wall, perf = pending
@@ -1262,27 +802,24 @@ class ShardedSuggestionService:
             replica.done()
             replica.breaker.record_success()
             if attempts > 1:
-                with self._lock:
-                    self.stats.replica_failovers += attempts - 1
-                if metrics.enabled:
-                    metrics.inc(
-                        "replica_failovers_total", attempts - 1,
-                        shard=str(sid),
-                    )
+                self._count(
+                    "replica_failovers", attempts - 1, shard=str(sid)
+                )
             if answer is None:
                 return ("unanswerable", None, None)
             rows, stats, extras = answer
-            self._absorb_extras(
-                sid, replica.replica_id, query, extras, wall, perf,
-                tracer,
+            # Scatter legs appear as sibling ``shard.task`` spans in
+            # one trace tree, and hot shards per stage in metrics.
+            stages = self._absorb_extras(
+                extras, tracer, "shard.task", wall, perf,
+                query=query, shard=sid, replica=replica.replica_id,
             )
+            if stages:
+                self._label_stage_deltas(sid, stages)
             return ("ok", rows, stats)
         # Every replica refused or failed.
         if self.degrade_in_process:
-            with self._lock:
-                self.stats.degraded_queries += 1
-            if metrics.enabled:
-                metrics.inc("degraded_queries_total")
+            self._count("degraded_queries")
             try:
                 return self._query_shard_local(sid, query, tracer)
             except StorageError as error:
@@ -1290,10 +827,7 @@ class ShardedSuggestionService:
                     "in-process fallback for shard %d failed: %s",
                     sid, error,
                 )
-        with self._lock:
-            self.stats.shards_omitted += 1
-        if metrics.enabled:
-            metrics.inc("shards_omitted_total", shard=str(sid))
+        self._count("shards_omitted", shard=str(sid))
         logger.warning(
             "shard %d omitted from %r: every replica failed",
             sid, query,
@@ -1360,45 +894,6 @@ class ShardedSuggestionService:
                 shard=str(sid), stage=stage,
             )
 
-    def _absorb_extras(
-        self,
-        sid: int,
-        replica_id: int,
-        query: str,
-        extras: dict | None,
-        submitted_wall: float,
-        submitted_perf: float,
-        tracer,
-    ) -> None:
-        """Fold a replica worker's extras into the coordinator.
-
-        Stage deltas merge into the global timers and re-record as
-        per-shard labeled totals; a returned span subtree is stitched
-        under a ``shard.task`` span covering submit → result, so the
-        scatter legs appear as siblings in one trace tree.
-        """
-        if not extras:
-            return
-        stages = extras.get("stages")
-        if stages:
-            self.metrics_registry.merge_stage_deltas(stages)
-            self._label_stage_deltas(sid, stages)
-        worker_span = extras.get("span")
-        if worker_span is not None and tracer.enabled:
-            elapsed = perf_counter() - submitted_perf
-            task_span = Span(
-                "shard.task",
-                start=submitted_wall,
-                duration=max(elapsed, worker_span.duration),
-                attributes={
-                    "query": query,
-                    "shard": sid,
-                    "replica": replica_id,
-                },
-            )
-            task_span.children.append(worker_span)
-            tracer.attach(task_span)
-
     def _replica_order(self, sid: int) -> list:
         """Replica preference order for one leg, per routing policy."""
         row = self._pools[sid]
@@ -1412,199 +907,3 @@ class ShardedSuggestionService:
             start = self._rr[sid]
             self._rr[sid] = (start + 1) % len(row)
         return row[start:] + row[:start]
-
-    # ------------------------------------------------------------------
-    # Batch path
-    # ------------------------------------------------------------------
-
-    def suggest_batch(
-        self,
-        queries: Sequence[str],
-        k: int = 10,
-        workers: int | None = None,
-    ) -> list[list[Suggestion]]:
-        """Answer every query; order and length match ``queries``.
-
-        Unusable queries yield empty lists instead of raising.  With
-        replica pools attached, unique cache misses are computed by
-        ``workers`` coordinator threads (default ``replicas + 1``),
-        each scattering to the shard pools — so distinct queries
-        overlap on distinct replicas.
-
-        Raises:
-            Overloaded: when the whole batch does not fit under
-                ``max_pending`` (all-or-nothing, before any work).
-        """
-        metrics = self.metrics_registry
-        if metrics.enabled:
-            metrics.inc("batches_total")
-        tracer = self.tracer
-        with self._traced_request(
-            "batch", f"<batch of {len(queries)}>",
-            queries=len(queries), shards=self.shard_count,
-        ):
-            self.admit(len(queries))
-            try:
-                if workers is None:
-                    workers = self.workers
-                if workers is None and self.replicas > 0:
-                    workers = self.replicas + 1
-                if (
-                    workers is not None and workers > 1
-                    and self.replicas > 0 and not self._closed
-                ):
-                    return self._suggest_batch_threaded(
-                        queries, k, workers
-                    )
-                out: list[list[Suggestion]] = []
-                for query in queries:
-                    try:
-                        if tracer.enabled:
-                            with tracer.span("query", query=query):
-                                answer, _ = (
-                                    self._suggest_one_detailed(
-                                        query, k
-                                    )
-                                )
-                        else:
-                            answer, _ = self._suggest_one_detailed(
-                                query, k
-                            )
-                        out.append(answer)
-                    except QueryError:
-                        with self._lock:
-                            self.stats.unanswerable += 1
-                        self._note_unanswerable()
-                        if metrics.enabled:
-                            metrics.inc("unanswerable_total")
-                        out.append([])
-                return out
-            finally:
-                self.release(len(queries))
-
-    def suggest_batch_detailed(
-        self,
-        queries: Sequence[str],
-        k: int = 10,
-        workers: int | None = None,
-    ) -> list[tuple[list[Suggestion], CleaningStats]]:
-        """:meth:`suggest_batch` plus one ``CleaningStats`` per query."""
-        sink: list[CleaningStats] = []
-        previous = self._stats_sink
-        self._stats_sink = sink
-        try:
-            answers = self.suggest_batch(queries, k, workers)
-        finally:
-            self._stats_sink = previous
-        if len(sink) != len(answers):  # pragma: no cover - invariant
-            raise AssertionError(
-                f"stats sink out of step: {len(sink)} stats for "
-                f"{len(answers)} answers"
-            )
-        return list(zip(answers, sink))
-
-    def _suggest_batch_threaded(
-        self, queries: Sequence[str], k: int, workers: int
-    ) -> list[list[Suggestion]]:
-        """Unique cache misses on coordinator threads, then serve.
-
-        Accounting mirrors ``SuggestionService._suggest_batch_parallel``:
-        computation happens first (untraced — the live tracer is not
-        thread-safe), then every occurrence is served through the
-        cache under the lock on the calling thread, keeping the
-        per-query ``last_stats``/sink contract single-threaded.
-        """
-        metrics = self.metrics_registry
-        keys = [self._cache_key(query, k) for query in queries]
-        cache = self._result_cache
-        # Unique cache misses, first-occurrence order.  Keys with no
-        # usable tokens are unanswerable by construction and never
-        # reach a scatter.
-        pending: dict[_CacheKey, str] = {}
-        with self._lock:
-            for key, query in zip(keys, queries):
-                if (
-                    key not in cache and key not in pending
-                    and key[1]
-                ):
-                    pending[key] = query
-        fresh: dict[
-            _CacheKey,
-            tuple[tuple[Suggestion, ...], CleaningStats],
-        ] = {}
-        if pending:
-            width = min(workers, len(pending))
-
-            def compute(item):
-                key, query = item
-                try:
-                    return key, self._compute(
-                        query, k, traced=False
-                    )
-                except QueryError:
-                    return key, None
-                except StorageError:
-                    return key, None
-
-            with ThreadPoolExecutor(max_workers=width) as executor:
-                for key, answer in executor.map(
-                    compute, list(pending.items())
-                ):
-                    if answer is None:
-                        continue
-                    suggestions, stats = answer
-                    fresh[key] = (tuple(suggestions), stats)
-                    if not stats.partial:
-                        self._cache_put(key, fresh[key][0])
-        out: list[list[Suggestion]] = []
-        with self._lock:
-            computed = {key for key in fresh if key in cache}
-            for key in keys:
-                self.stats.queries_served += 1
-                if metrics.enabled:
-                    metrics.inc("queries_total")
-                cached = cache.get(key)
-                if cached is not None:
-                    cache.move_to_end(key)
-                    if key in computed:
-                        # First service of a freshly computed answer
-                        # is a miss; later duplicates hit the cache.
-                        computed.discard(key)
-                        self.stats.result_cache_misses += 1
-                        stats = fresh[key][1]
-                        stats.result_cache_misses += 1
-                        self._note_stats(stats)
-                        if metrics.enabled:
-                            metrics.inc("result_cache_misses_total")
-                    else:
-                        self.stats.result_cache_hits += 1
-                        self._note_stats(CleaningStats(
-                            result_cache_hits=1,
-                            trace_id=self.tracer.trace_id,
-                        ))
-                        if metrics.enabled:
-                            metrics.inc("result_cache_hits_total")
-                    out.append(list(cached))
-                    continue
-                entry = fresh.get(key)
-                if entry is not None:
-                    # Partial (shard-omitted) answer: served on every
-                    # occurrence as an uncached miss so a retry can
-                    # still get (and cache) the exact top-k.
-                    suggestions, stats = entry
-                    self.stats.result_cache_misses += 1
-                    self.stats.partial_results += 1
-                    self._note_stats(stats)
-                    if metrics.enabled:
-                        metrics.inc("result_cache_misses_total")
-                        metrics.inc("partial_results_total")
-                    out.append(list(suggestions))
-                    continue
-                # Empty token tuple or a failed/unanswerable scatter:
-                # unanswerable, never cached.
-                self.stats.unanswerable += 1
-                self._note_unanswerable()
-                if metrics.enabled:
-                    metrics.inc("unanswerable_total")
-                out.append([])
-        return out

@@ -510,12 +510,10 @@ class HTTPFrontEnd:
 
     def stats_payload(self) -> dict:
         """Everything ``GET /stats`` reports, as one JSON-able dict."""
-        with self.service._lock:
-            service_stats = dataclasses.asdict(self.service.stats)
-            inflight = self.service._inflight
+        status = self.service.status()
         return {
-            "service": service_stats,
-            "inflight": inflight,
+            "service": status["stats"],
+            "inflight": status["inflight"],
             "front_end": dataclasses.asdict(self.stats),
             "draining": self._draining,
         }

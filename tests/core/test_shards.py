@@ -26,9 +26,10 @@ from repro.core.shards import (
 )
 from repro.core.suggestion import CleaningStats
 from repro.eval.experiments import dblp_setting
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import ConfigurationError, QueryError, StorageError
 from repro.index.corpus import build_corpus_index
 from repro.index.sharding import build_sharded_snapshot
+from repro.obs.trace import Tracer
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -349,6 +350,18 @@ class TestServiceBehaviour:
             assert [_key(s) for s in first] == tiny_reference
             assert [_key(s) for s in third] == tiny_reference
 
+    def test_cache_hit_is_traced(self, tiny_manifest):
+        with ShardedSuggestionService(
+            tiny_manifest, config=XCleanConfig(max_errors=1),
+            tracer=Tracer(),
+        ) as service:
+            service.suggest(TINY_QUERY, 5)
+            miss = service.tracer.last_trace
+            service.suggest(TINY_QUERY, 5)
+            hit = service.tracer.last_trace
+        assert miss.events == []
+        assert [name for name, _, _ in hit.events] == ["result_cache_hit"]
+
     def test_configuration_errors(self, tiny_manifest):
         with pytest.raises(ConfigurationError, match="min_depth"):
             ShardedSuggestionService(
@@ -455,6 +468,27 @@ class TestFaultInjection:
             assert service.stats.result_cache_hits == 0
             assert service.stats.result_cache_misses == 2
             assert service.stats.shards_omitted == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_total_outage_raises_from_batch(
+        self, tiny_manifest, monkeypatch, workers
+    ):
+        # Every replica fails and nothing degrades in-process: that is
+        # an outage, not an unanswerable query, on every batch path.
+        monkeypatch.setattr(
+            shards_module, "_worker_shard_partials", _always_fail_worker
+        )
+        with ShardedSuggestionService(
+            tiny_manifest,
+            config=XCleanConfig(max_errors=1),
+            replicas=1,
+            degrade_in_process=False,
+            close_grace=2.0,
+        ) as service:
+            with pytest.raises(StorageError, match="all 2 shards failed"):
+                service.suggest_batch([TINY_QUERY], k=5, workers=workers)
+            assert service.stats.unanswerable == 0
+            assert service._inflight == 0
 
     def test_worker_timeout_degrades(
         self, tiny_manifest, tiny_reference, monkeypatch
