@@ -3,9 +3,9 @@
 A full reproduction of *"XClean: Providing Valid Spelling Suggestions
 for XML Keyword Queries"* (Lu, Wang, Li, Liu — ICDE 2011), including
 every substrate the paper depends on: the XML tree model with Dewey
-codes, a Dewey-coded inverted index with MergedList skipping, FastSS
-variant generation, the probabilistic scoring framework, Algorithm 1,
-the SLCA-semantics variant, the PY08 baseline, and the complete
+codes, a Dewey-coded inverted index with packed merged-list skipping,
+FastSS variant generation, the probabilistic scoring framework,
+Algorithm 1, the SLCA-semantics variant, the PY08 baseline, and the complete
 evaluation harness.
 
 Quickstart::

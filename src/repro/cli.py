@@ -633,7 +633,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         print("(no suggestions)")
         return 0
     rows = [
-        (rank, s.text, s.score, s.result_type or "")
+        (rank, s.text, f"{s.score:.3g}", s.result_type or "")
         for rank, s in enumerate(suggestions, start=1)
     ]
     print(format_table(("#", "suggestion", "score", "result type"), rows))
@@ -839,7 +839,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 rank,
                 ".".join(map(str, result.dewey)),
                 result.result_type,
-                result.score,
+                f"{result.score:.3g}",
                 snippet,
             )
         )

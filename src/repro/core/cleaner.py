@@ -4,13 +4,13 @@ A single pass over the merged variant lists computes the scores of all
 candidate queries simultaneously:
 
 1. *Anchor selection* (Lines 4, 5, 16): the anchor is the largest
-   current head across the per-keyword MergedLists; its Dewey code
+   current head across the per-keyword merged lists; its Dewey code
    truncated to the minimal depth d identifies the subtree group g to
-   process next.  The loop terminates as soon as any MergedList is
+   process next.  The loop terminates as soon as any merged list is
    exhausted — a candidate query needs a variant occurrence for every
    keyword, so no later group can contribute.
 
-2. *Skipping* (Lines 7–8): every MergedList skips to g, jumping over
+2. *Skipping* (Lines 7–8): every merged list skips to g, jumping over
    whole subtrees that cannot contain a full candidate match
    (galloping search; ``use_skipping=False`` steps linearly instead,
    the Section V-C ablation).

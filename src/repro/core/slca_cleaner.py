@@ -9,33 +9,44 @@ every keyword.  Scoring stays Eq. 8/9 with those entities:
 where N_C = |SLCA(C)| (every SLCA entity contains all keywords by
 definition, so none is dropped).
 
-The algorithm reuses Algorithm 1's group machinery: anchors, minimal
-depth d, skipping, and single-pass list access.  SLCAs are computed
-*within* each depth-d group; connections that exist only above depth d
-are deliberately excluded — the same "connected only through the root
-is not meaningful" argument of Section V-B.  The paper notes this
-semantics works as well as node types on data-centric DBLP but worse on
-document-centric INEX, which the ablation benchmark reproduces.
+Only the entity step of Algorithm 1 differs, so both suggesters here
+run :class:`~repro.core.cleaner.XCleanSuggester`'s merge kernel —
+anchors, minimal depth d, skipping (or the linear ablation), plan
+replay, deadlines, fault sites and spans — and override the per-group
+scoring alone.  SLCAs are computed *within* each depth-d group;
+connections that exist only above depth d are deliberately excluded —
+the same "connected only through the root is not meaningful" argument
+of Section V-B.  The paper notes this semantics works as well as node
+types on data-centric DBLP but worse on document-centric INEX, which
+the ablation benchmark reproduces.
 """
 
 from __future__ import annotations
 
 from repro.core.candidates import CandidateQuery, CandidateSpace
+from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
-from repro.core.error_model import ErrorModel, ExponentialErrorModel
-from repro.core.language_model import DirichletLanguageModel
+from repro.core.error_model import ErrorModel
+from repro.core.pruning import AccumulatorPool
 from repro.core.suggestion import CleaningStats, Suggestion
-from repro.exceptions import QueryError
+from repro.exceptions import ConfigurationError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import CorpusIndex
-from repro.index.merged_list import MergedEntry, MergedList
+from repro.index.merged_list import PackedEntry
 from repro.slca.elca import elca
 from repro.slca.multiway import slca
 from repro.xmltree.dewey import DeweyCode
 
 
-class SLCACleanSuggester:
-    """Top-k query cleaning with SLCA entity semantics."""
+class SLCACleanSuggester(XCleanSuggester):
+    """Top-k query cleaning with SLCA entity semantics.
+
+    Scores are exact: the γ-bounded accumulator table and the length
+    prior are node-type features, so ``config.gamma`` and
+    ``config.prior`` are ignored.  :meth:`partial_rows` and
+    :meth:`suggest_explained` serialize node-type accumulators and
+    raise :class:`~repro.exceptions.ConfigurationError` here.
+    """
 
     #: Display label used in Suggestion.result_type.
     semantics_label = "SLCA"
@@ -47,18 +58,10 @@ class SLCACleanSuggester:
         error_model: ErrorModel | None = None,
         config: XCleanConfig | None = None,
     ):
-        self.corpus = corpus
-        self.config = config or XCleanConfig()
-        self.generator = generator or VariantGenerator(
-            corpus.vocabulary.tokens(), max_errors=self.config.max_errors
-        )
-        self.error_model = error_model or ExponentialErrorModel(
-            self.config.beta
-        )
-        self.language_model = DirichletLanguageModel(
-            corpus.vocabulary, self.config.mu
-        )
-        self.last_stats = CleaningStats()
+        super().__init__(corpus, generator, error_model, config)
+        #: Score table of the query in flight: candidate →
+        #: [Σ entity mass, N_C, P(Q|C)], filled group by group.
+        self._table: dict[CandidateQuery, list] = {}
 
     def suggest(self, query: str, k: int = 10) -> list[Suggestion]:
         """Top-k alternative queries under SLCA semantics."""
@@ -75,65 +78,24 @@ class SLCACleanSuggester:
 
     def score_all(self, query: str) -> dict[CandidateQuery, float]:
         """Scores of all candidates with at least one SLCA entity."""
-        keywords = self.corpus.tokenizer.tokenize(query)
-        if not keywords:
-            raise QueryError(f"query {query!r} has no usable keywords")
-        space = CandidateSpace(
-            keywords, self.generator, self.error_model,
-            self.config.max_errors,
-        )
-        stats = CleaningStats(
-            keywords=len(keywords), space_size=space.space_size()
-        )
-        self.last_stats = stats
-        if not space.is_viable:
-            return {}
-
-        merged = [
-            self.corpus.merged_list(space.variant_tokens(i))
-            for i in range(len(keywords))
-        ]
-        min_depth = self.config.min_depth
-        mass: dict[CandidateQuery, float] = {}
-        entity_counts: dict[CandidateQuery, int] = {}
-
-        while True:
-            anchor = None
-            exhausted = False
-            for ml in merged:
-                head = ml.head_dewey()
-                if head is None:
-                    exhausted = True
-                    break
-                if anchor is None or head > anchor:
-                    anchor = head
-            if exhausted or anchor is None:
-                break
-            if len(anchor) < min_depth:
-                self._consume_shallow(merged, anchor)
-                continue
-            group = anchor[:min_depth]
-            occurrences = self._collect_group(merged, group)
-            if occurrences is None:
-                continue
-            stats.groups_processed += 1
-            self._score_group(
-                occurrences, space, mass, entity_counts, stats
-            )
-
-        stats.postings_read = sum(ml.total_reads for ml in merged)
-        stats.postings_skipped = sum(ml.total_skips for ml in merged)
+        self._table = {}
+        self._run(query)
         return {
-            candidate: space.error_weight(candidate)
-            * total
-            / entity_counts[candidate]
-            for candidate, total in mass.items()
-            if entity_counts[candidate]
+            candidate: error_weight * mass / count
+            for candidate, (mass, count, error_weight) in self._table.items()
         }
 
-    # ------------------------------------------------------------------
-    # Internals (group machinery shared in spirit with XCleanSuggester)
-    # ------------------------------------------------------------------
+    def partial_rows(self, query: str):
+        raise ConfigurationError(
+            f"{self.semantics_label} semantics has no node-type "
+            "accumulator rows to scatter-gather"
+        )
+
+    def suggest_explained(self, query: str, k: int = 10):
+        raise ConfigurationError(
+            f"score provenance is recorded for node-type semantics "
+            f"only, not {self.semantics_label}"
+        )
 
     def _entities(
         self, lists: list[list[DeweyCode]]
@@ -141,68 +103,67 @@ class SLCACleanSuggester:
         """Entity roots of one candidate within the current group."""
         return slca(lists)
 
-    def _consume_shallow(
-        self, merged: list[MergedList], anchor: DeweyCode
-    ) -> None:
-        for ml in merged:
-            if ml.head_dewey() == anchor:
-                ml.next()
-                return
-
-    def _collect_group(
-        self, merged: list[MergedList], group: DeweyCode
-    ) -> list[dict[str, list[MergedEntry]]] | None:
-        occurrences: list[dict[str, list[MergedEntry]]] = []
-        missing = False
-        for ml in merged:
-            by_token: dict[str, list[MergedEntry]] = {}
-            ml.skip_to(group)
-            for entry in ml.pop_subtree(group):
-                by_token.setdefault(entry[3], []).append(entry)
-            if not by_token:
-                missing = True
-            occurrences.append(by_token)
-        return None if missing else occurrences
-
-    def _score_group(
+    def _score_group_packed(
         self,
-        occurrences: list[dict[str, list[MergedEntry]]],
+        occurrences: list[dict[str, list[PackedEntry]]],
         space: CandidateSpace,
-        mass: dict[CandidateQuery, float],
-        entity_counts: dict[CandidateQuery, int],
+        pool: AccumulatorPool,
         stats: CleaningStats,
+        view,
+        group: int,
     ) -> None:
+        """Score the group's candidates over their entity roots (Eq. 8/9).
+
+        Replaces only the node-type entity step of the merge kernel;
+        ``pool`` (the γ table) stays empty.  Each group's mass is added
+        to :attr:`_table` in group order, so cold runs, plan replays and
+        the linear mode sum the same floats in the same order.
+        """
+        unpack = view.packer.unpack
+        deweys = [
+            {
+                token: [unpack(entry[0]) for entry in entries]
+                for token, entries in by_token.items()
+            }
+            for by_token in occurrences
+        ]
+        probability = self.language_model.probability
+        subtree_length = self.corpus.subtree_length
+        table = self._table
         present = [list(by_token) for by_token in occurrences]
         for candidate in space.enumerate_present(present):
             stats.candidates_evaluated += 1
             lists = [
-                [e[0] for e in occurrences[pos][token]]
-                for pos, token in enumerate(candidate)
+                deweys[position][token]
+                for position, token in enumerate(candidate)
             ]
-            entities = self._entities(lists)
-            if not entities:
+            roots = self._entities(lists)
+            if not roots:
                 continue
             total = 0.0
-            for root in entities:
+            for root in roots:
                 stats.entities_scored += 1
-                length = self.corpus.subtree_length(root)
+                depth = len(root)
+                length = subtree_length(root)
                 product = 1.0
                 for position, token in enumerate(candidate):
                     count = sum(
-                        tf
-                        for dewey, _pid, tf, _tok in occurrences[position][
-                            token
-                        ]
-                        if dewey[: len(root)] == root
+                        entry[2]
+                        for code, entry in zip(
+                            lists[position], occurrences[position][token]
+                        )
+                        if code[:depth] == root
                     )
-                    product *= self.language_model.probability(
-                        token, count, length
-                    )
+                    product *= probability(token, count, length)
                 total += product
-            mass[candidate] = mass.get(candidate, 0.0) + total
-            entity_counts[candidate] = (
-                entity_counts.get(candidate, 0) + len(entities)
-            )
+            entry = table.get(candidate)
+            if entry is None:
+                table[candidate] = [
+                    total, len(roots), space.error_weight(candidate)
+                ]
+            else:
+                entry[0] += total
+                entry[1] += len(roots)
 
 
 class ELCACleanSuggester(SLCACleanSuggester):
@@ -212,7 +173,8 @@ class ELCACleanSuggester(SLCACleanSuggester):
     the Exclusive LCAs [XRANK] of the candidate's keyword occurrences.
     ELCAs are a superset of the SLCAs — ancestors with their own
     exclusive keyword witnesses also become entities, so broader
-    contexts contribute score mass.
+    contexts contribute score mass.  Like SLCA, it ignores γ and the
+    length prior.
     """
 
     semantics_label = "ELCA"

@@ -1,18 +1,13 @@
 """Indexing substrate: tokenizer, vocabulary, inverted lists, path index.
 
 Implements the data structures of Sections V-B and V-C of the paper: the
-Dewey-coded inverted index, the MergedList abstraction, and the path
-index that feeds result-type inference.
+Dewey-coded inverted index, its packed columns (merged per keyword by
+``index/merged_list`` for Algorithm 1), and the path index that feeds
+result-type inference.
 """
 
 from repro.index.corpus import CorpusIndex, build_corpus_index
-from repro.index.inverted import (
-    InvertedIndex,
-    InvertedList,
-    ListCursor,
-    Posting,
-)
-from repro.index.merged_list import MergedEntry, MergedList
+from repro.index.inverted import InvertedIndex, InvertedList, Posting
 from repro.index.path_index import (
     PathIndex,
     build_path_index,
@@ -37,9 +32,6 @@ __all__ = [
     "DEFAULT_STOPWORDS",
     "InvertedIndex",
     "InvertedList",
-    "ListCursor",
-    "MergedEntry",
-    "MergedList",
     "PathIndex",
     "Posting",
     "Tokenizer",

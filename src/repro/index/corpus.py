@@ -31,11 +31,7 @@ from repro.index.merge_kernel import (
     DEFAULT_INTERSECTION_CACHE_SIZE,
     IntersectionCache,
 )
-from repro.index.merged_list import (
-    MergedList,
-    PackedMergedColumns,
-    PackedMergedList,
-)
+from repro.index.merged_list import PackedMergedColumns, PackedMergedList
 from repro.index.path_index import PathIndex, path_counts_from_postings
 from repro.index.tokenizer import Tokenizer
 from repro.index.vocabulary import Vocabulary
@@ -106,23 +102,19 @@ class QueryEngineMixin:
 
     Both the in-memory :class:`CorpusIndex` and the mmap-backed
     :class:`~repro.index.snapshot.SnapshotCorpusIndex` expose the same
-    accessors to the suggesters: memoized merged-list construction over
-    the tuple lists (offline readers) and the packed columns (the merge
-    loop), precomputed Eq. 8 normalizers, and a
-    metrics binding for the cache counters.  Subclasses must provide
-    ``inverted``, ``path_node_counts``, ``path_token_totals_map``,
-    ``max_depth``, and ``packed_view()``; the mixin owns the caches.
+    accessors to the suggesters: memoized merged packed columns (the
+    merge loop), precomputed Eq. 8 normalizers, and a metrics binding
+    for the cache counters.  Subclasses must provide
+    ``path_node_counts``, ``path_token_totals_map``, ``max_depth``, and
+    ``packed_view()``; the mixin owns the caches.
     """
 
     def _init_query_caches(self) -> None:
         # Query-time caches; `= None` sentinels keep CorpusIndex
-        # picklable and the packed view lazily built.  Both merged-list
-        # memos are LRU-bounded and keyed by (generation, variant set),
-        # so a snapshot hot-swap that bumps the generation can never
-        # serve stale columns.
-        self._merged_cache: OrderedDict[
-            tuple, list[InvertedList]
-        ] = OrderedDict()
+        # picklable and the packed view lazily built.  The merged-columns
+        # memo is LRU-bounded and keyed by (generation, variant set), so
+        # a snapshot hot-swap that bumps the generation can never serve
+        # stale columns.
         self._packed_merged_cache: OrderedDict[
             tuple, PackedMergedColumns
         ] = OrderedDict()
@@ -171,7 +163,6 @@ class QueryEngineMixin:
         would pin the previous snapshot's columns in memory.
         """
         self.generation += 1
-        self._merged_cache.clear()
         self._packed_merged_cache.clear()
         self.intersection_cache.clear()
 
@@ -187,9 +178,6 @@ class QueryEngineMixin:
         changed = set(tokens)
         if not changed:
             return
-        tuple_cache = self._merged_cache
-        for key in [k for k in tuple_cache if not changed.isdisjoint(k[1])]:
-            del tuple_cache[key]
         packed_cache = self._packed_merged_cache
         stale = {
             packed_cache.pop(key).uid
@@ -203,11 +191,11 @@ class QueryEngineMixin:
         cap = self.merged_cache_size
         if cap is None:
             return
-        for cache in (self._merged_cache, self._packed_merged_cache):
-            while len(cache) > cap:
-                cache.popitem(last=False)
-                self.merged_cache_evictions += 1
-                self._metrics.inc("merged_cache_evictions_total")
+        cache = self._packed_merged_cache
+        while len(cache) > cap:
+            cache.popitem(last=False)
+            self.merged_cache_evictions += 1
+            self._metrics.inc("merged_cache_evictions_total")
 
     def bind_metrics(self, metrics) -> None:
         """Attach a MetricsRegistry to the cache hooks.
@@ -227,36 +215,8 @@ class QueryEngineMixin:
         """N — number of nodes of the given type in the document."""
         return self.path_node_counts.get(path_id, 0)
 
-    def merged_list(self, tokens: Iterable[str]) -> MergedList:
-        """MergedList over the inverted lists of the given variants.
-
-        The per-variant-set list lookup is memoized: the same keyword
-        (hence the same variant set) recurs across queries, and
-        resolving dozens of token strings to posting lists on every
-        query is measurable.  Cursor state lives in the MergedList, so
-        sharing the underlying immutable lists is safe.
-        """
-        cache = self._merged_cache
-        key = (self.generation, tuple(tokens))
-        lists = cache.get(key)
-        if lists is None:
-            self.merged_cache_misses += 1
-            self._metrics.inc("merged_cache_misses_total")
-            lists = []
-            for token in key[1]:
-                found = self.inverted.get(token)
-                if found is not None:
-                    lists.append(found)
-            cache[key] = lists
-            self._trim_merged_caches()
-        else:
-            cache.move_to_end(key)
-            self.merged_cache_hits += 1
-            self._metrics.inc("merged_cache_hits_total")
-        return MergedList(lists)
-
     def merged_list_packed(self, tokens: Iterable[str]) -> PackedMergedList:
-        """Packed MergedList over the given variants.
+        """Packed merged list over the given variants.
 
         The *physical merge* of the variant columns is memoized, not
         just the list lookup: the same keyword recurs across queries,

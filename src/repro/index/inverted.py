@@ -5,15 +5,15 @@ posting is the tuple ``(dewey, path_id, tf)``: the Dewey code of the
 *leaf* node that directly contains the token, the interned id of its
 label path, and the token's frequency in that node.
 
-Lists support positional cursors with ``skip_to`` implemented by
-exponential (galloping) search followed by binary search, which is what
-lets Algorithm 1 jump over whole subtrees that cannot contribute.
+The query engine reads the same postings as packed columns
+(:class:`PackedInvertedList`); Algorithm 1 skips over those with a
+galloping search (``index/merge_kernel.gallop_left``), which is what
+lets it jump over whole subtrees that cannot contribute.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Iterator, Sequence
 
 from repro.xmltree.dewey import DeweyCode
@@ -45,28 +45,6 @@ class InvertedList:
 
     def __getitem__(self, index: int) -> Posting:
         return self.postings[index]
-
-    def first_at_or_after(self, dewey: DeweyCode, start: int = 0) -> int:
-        """Index of the first posting with code >= ``dewey``.
-
-        Uses galloping search from ``start`` (the cursor position), so a
-        sequence of increasing ``skip_to`` targets costs O(log gap) each
-        rather than O(log n).
-        Returns ``len(self)`` when every remaining posting is smaller.
-        """
-        postings = self.postings
-        n = len(postings)
-        if start >= n or postings[start][0] >= dewey:
-            return start
-        # Gallop: find a window [lo, hi) with postings[lo] < dewey <= hi.
-        step = 1
-        lo = start
-        hi = start + 1
-        while hi < n and postings[hi][0] < dewey:
-            lo = hi
-            step *= 2
-            hi = min(n, hi + step)
-        return bisect_left(postings, dewey, lo + 1, hi, key=lambda p: p[0])
 
 
 class InvertedIndex:
@@ -104,57 +82,12 @@ class InvertedIndex:
         return sum(len(lst) for lst in self._lists.values())
 
 
-class ListCursor:
-    """A read cursor over one inverted list.
-
-    Tracks the current position and the number of postings actually
-    *read* versus *skipped*, which the ablation benchmarks use to show
-    the effect of Algorithm 1's skipping.
-    """
-
-    __slots__ = ("source", "position", "reads", "skips", "_postings",
-                 "_length")
-
-    def __init__(self, source: InvertedList):
-        self.source = source
-        self.position = 0
-        self.reads = 0
-        self.skips = 0
-        # Hot-path locals: cursor operations run once per posting.
-        self._postings = source.postings
-        self._length = len(source.postings)
-
-    def exhausted(self) -> bool:
-        return self.position >= self._length
-
-    def current(self) -> Posting | None:
-        """Posting under the cursor, or ``None`` when exhausted."""
-        if self.position >= self._length:
-            return None
-        return self._postings[self.position]
-
-    def advance(self) -> Posting | None:
-        """Return the current posting and move one step forward."""
-        posting = self.current()
-        if posting is not None:
-            self.position += 1
-            self.reads += 1
-        return posting
-
-    def skip_to(self, dewey: DeweyCode) -> Posting | None:
-        """Discard postings with code < ``dewey``; return the new head."""
-        new_position = self.source.first_at_or_after(dewey, self.position)
-        self.skips += new_position - self.position
-        self.position = new_position
-        return self.current()
-
-
 # ----------------------------------------------------------------------
 # Columnar (packed) posting lists — the fast query engine
 # ----------------------------------------------------------------------
 #
 # The tuple-based classes above serve the offline readers (NaiveCleaner,
-# SLCA/ELCA, entity search); the packed class below stores the same
+# entity search, PY08); the packed class below stores the same
 # postings as three parallel columns so the merge loop runs on machine
 # integers:
 #

@@ -1,35 +1,22 @@
-"""The MergedList abstraction (Section V-C).
+"""The merged-list abstraction (Section V-C), over packed columns.
 
-Given the list of variants for one query keyword, ``MergedList``
-organizes their inverted lists as if physically merged into one
-document-ordered list, via a min-heap of the member lists' heads:
+Given the variants of one query keyword, Algorithm 1 reads their
+inverted lists as if physically merged into one document-ordered list
+and skips it to the start of each subtree group.  Packed Dewey keys
+sort globally, so :class:`PackedMergedColumns` performs that merge once
+per variant set (memoized on the corpus), and :class:`PackedMergedList`
+is the cursor the merge kernel advances over it.
 
-* ``cur_pos()`` — the head (smallest Dewey code) without consuming it;
-* ``next()`` — pop the head, pull the next posting of that member list
-  into the heap;
-* ``skip_to(dewey)`` — discard every posting smaller than ``dewey`` in
-  all member lists (galloping search per list), rebuild the heap, and
-  return the new head.
-
-Each yielded entry carries the originating token, because Algorithm 1
-needs to know *which variant* occurred at a position.
+Each entry carries the originating token, because Algorithm 1 needs to
+know *which variant* occurred at a position.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from typing import Iterable
 
-from repro.index.inverted import (
-    InvertedList,
-    ListCursor,
-    PackedInvertedList,
-)
-from repro.xmltree.dewey import DeweyCode
-
-#: An entry of the merged list: (dewey, path_id, tf, token).
-MergedEntry = tuple[DeweyCode, int, int, str]
+from repro.index.inverted import PackedInvertedList
 
 #: An entry of the packed merged list: (packed_key, path_id, tf, token).
 PackedEntry = tuple[int, int, int, str]
@@ -41,116 +28,6 @@ def _next_columns_uid(_counter=iter(range(1, 1 << 62)).__next__) -> int:
     Monotonic and never reused (unlike ``id()``), so a cache keyed on
     uids can never alias a dead columns object with a new one."""
     return _counter()
-
-
-class MergedList:
-    """Document-ordered merge of the variant lists of one keyword."""
-
-    def __init__(self, lists: Iterable[InvertedList]):
-        self._cursors = [ListCursor(lst) for lst in lists]
-        self._heap: list[tuple[DeweyCode, int]] = []
-        for index, cursor in enumerate(self._cursors):
-            head = cursor.current()
-            if head is not None:
-                self._heap.append((head[0], index))
-        heapq.heapify(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def cur_pos(self) -> MergedEntry | None:
-        """The head of the merged list, or ``None`` when exhausted."""
-        if not self._heap:
-            return None
-        _dewey, index = self._heap[0]
-        cursor = self._cursors[index]
-        posting = cursor.current()
-        assert posting is not None
-        return (*posting, cursor.source.token)
-
-    def next(self) -> MergedEntry | None:
-        """Pop and return the head; ``None`` when exhausted."""
-        if not self._heap:
-            return None
-        _dewey, index = heapq.heappop(self._heap)
-        cursor = self._cursors[index]
-        posting = cursor.advance()
-        assert posting is not None
-        following = cursor.current()
-        if following is not None:
-            heapq.heappush(self._heap, (following[0], index))
-        return (*posting, cursor.source.token)
-
-    def head_dewey(self) -> DeweyCode | None:
-        """Dewey code of the head, without materializing the entry.
-
-        O(1); used by the anchor-selection loop of Algorithm 1, which
-        inspects heads far more often than it consumes them.
-        """
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop_subtree(self, group: DeweyCode) -> list[MergedEntry]:
-        """Pop every entry under ``group`` (Lines 9–11 of Algorithm 1).
-
-        Equivalent to repeated ``cur_pos``/``next`` with an
-        ancestor-or-self test, but touches the heap head directly.
-        """
-        out: list[MergedEntry] = []
-        heap = self._heap
-        cursors = self._cursors
-        depth = len(group)
-        while heap:
-            dewey, index = heap[0]
-            if dewey[:depth] != group:
-                break
-            heapq.heappop(heap)
-            cursor = cursors[index]
-            posting = cursor.advance()
-            assert posting is not None
-            out.append((*posting, cursor.source.token))
-            following = cursor.current()
-            if following is not None:
-                heapq.heappush(heap, (following[0], index))
-        return out
-
-    def skip_to(self, dewey: DeweyCode) -> MergedEntry | None:
-        """Discard all entries with code < ``dewey``; return the new head.
-
-        Implemented per the paper: skip in each member list (binary /
-        exponential search), then rebuild the min-heap.
-        """
-        self._heap = []
-        for index, cursor in enumerate(self._cursors):
-            head = cursor.skip_to(dewey)
-            if head is not None:
-                self._heap.append((head[0], index))
-        heapq.heapify(self._heap)
-        return self.cur_pos()
-
-    # ------------------------------------------------------------------
-    # Introspection used by benchmarks and tests
-    # ------------------------------------------------------------------
-
-    @property
-    def total_reads(self) -> int:
-        """Postings consumed via ``next`` across member lists."""
-        return sum(c.reads for c in self._cursors)
-
-    @property
-    def total_skips(self) -> int:
-        """Postings jumped over via ``skip_to`` across member lists."""
-        return sum(c.skips for c in self._cursors)
-
-    def drain(self) -> list[MergedEntry]:
-        """Consume the remainder of the merged list (testing aid)."""
-        out = []
-        while True:
-            entry = self.next()
-            if entry is None:
-                return out
-            out.append(entry)
 
 
 class PackedMergedColumns:

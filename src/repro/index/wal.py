@@ -216,7 +216,9 @@ class WriteAheadLog:
         try:
             header = json.loads(header_payload)
             self.base_generation = int(header["base_generation"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, OverflowError, RecursionError
+        ) as exc:
             raise StorageError(
                 f"{self.path}: malformed WAL header: {exc}"
             ) from exc
@@ -225,7 +227,7 @@ class WriteAheadLog:
         for payload, end in frames[1:]:
             try:
                 records.append(WalRecord.from_dict(json.loads(payload)))
-            except (ValueError, UpdateError):
+            except (ValueError, RecursionError, UpdateError):
                 # An unparseable-but-CRC-clean record cannot be a torn
                 # write; still, nothing after it can be trusted.
                 break

@@ -20,6 +20,11 @@ IV model) to a relative 1e-9; every suggestion returns at least one
 mode reads exactly what the galloping run reads plus skips; a replay
 repeats the cold counters; and at γ ∈ {1, 4} in-loop pruning changes
 nothing.
+
+The SLCA and ELCA suggesters (Section VI-B) run the same loop: their
+``score_all`` is identical cold, on replay, in linear mode and over the
+snapshot, matches a brute-force Eq. 8/9 over LCA entities to a relative
+1e-9, and reads and skips exactly what the node-type run does.
 """
 
 from __future__ import annotations
@@ -29,19 +34,24 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.core.candidates import CandidateSpace
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.naive import NaiveCleaner
 from repro.core.search import EntitySearch
 from repro.core.server import SuggestionService
 from repro.core.shards import ShardedSuggestionService
+from repro.core.slca_cleaner import ELCACleanSuggester, SLCACleanSuggester
 from repro.datasets.misspellings import rule_misspell
 from repro.datasets.synthetic_dblp import DBLPConfig, generate_dblp
 from repro.datasets.synthetic_wiki import WikiConfig, generate_wiki
 from repro.eval.experiments import dblp_setting
+from repro.exceptions import ConfigurationError
 from repro.index.corpus import build_corpus_index
 from repro.index.sharding import build_sharded_snapshot
 from repro.index.snapshot import build_snapshot, load_snapshot
+from repro.slca.elca import elca_brute_force
+from repro.slca.multiway import slca_brute_force
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -126,6 +136,7 @@ class Case:
     corpus: object
     queries: list[str]
     runs: dict[str, Run]
+    snapshot_path: str
 
 
 @pytest.fixture(scope="module", params=CORPORA)
@@ -172,7 +183,7 @@ def case(request, tmp_path_factory):
                     run.stats[path] = stats
     finally:
         snapshot.close()
-    return Case(corpus, queries, runs)
+    return Case(corpus, queries, runs, snapshot_path)
 
 
 class TestPaths:
@@ -273,3 +284,139 @@ class TestPaths:
         if gamma == 1:
             # A one-slot table saturates at once: the prune must fire.
             assert pruned_total > 0
+
+
+#: Section VI-B semantics: suggester and brute-force entity roots.
+LCA_SEMANTICS = {
+    "SLCA": (SLCACleanSuggester, slca_brute_force),
+    "ELCA": (ELCACleanSuggester, elca_brute_force),
+}
+LCA_PATHS = ("cold", "replay", "linear", "snapshot")
+
+
+@pytest.fixture(scope="module")
+def lca_runs(case):
+    """``(score_all, last_stats)`` per (semantics, query, path)."""
+    config = XCleanConfig(gamma=None)
+    snapshot = load_snapshot(case.snapshot_path)
+    runs = {}
+    try:
+        for label, (cls, _brute_force) in LCA_SEMANTICS.items():
+            kernel = cls(case.corpus, config=config)
+            paths = (
+                ("cold", kernel),
+                ("replay", kernel),
+                (
+                    "linear",
+                    cls(
+                        case.corpus,
+                        config=XCleanConfig(gamma=None, use_skipping=False),
+                    ),
+                ),
+                ("snapshot", cls(snapshot, config=config)),
+            )
+            for query in case.queries:
+                case.corpus.intersection_cache.clear()
+                for path, suggester in paths:
+                    runs[label, query, path] = (
+                        suggester.score_all(query),
+                        suggester.last_stats,
+                    )
+    finally:
+        snapshot.close()
+    return runs
+
+
+def lca_reference(corpus, query, entities_of, config):
+    """Eq. 8/9 over LCA entities, straight from the tuple postings.
+
+    Every candidate of the full space; its entities are the LCA roots
+    of its occurrences inside each depth-d group, d = ``min_depth``.
+    """
+    oracle = NaiveCleaner(corpus, config=config)
+    space = CandidateSpace(
+        corpus.tokenizer.tokenize(query),
+        oracle.generator,
+        oracle.error_model,
+        config.max_errors,
+    )
+    depth = config.min_depth
+    grouped = {}
+    for position in range(len(space)):
+        for token in space.variant_tokens(position):
+            groups = grouped.setdefault(token, {})
+            for dewey, _pid, tf in corpus.inverted.list_for(token):
+                if len(dewey) >= depth:
+                    groups.setdefault(dewey[:depth], []).append((dewey, tf))
+    probability = oracle.language_model.probability
+    scores = {}
+    for candidate in space.enumerate_all():
+        per_token = [grouped[token] for token in candidate]
+        mass, count = 0.0, 0
+        for group in sorted(set.intersection(*map(set, per_token))):
+            postings = [groups[group] for groups in per_token]
+            roots = entities_of([[d for d, _tf in p] for p in postings])
+            for root in roots:
+                length = corpus.subtree_length(root)
+                product = 1.0
+                for token, post in zip(candidate, postings):
+                    tf = sum(t for d, t in post if d[: len(root)] == root)
+                    product *= probability(token, tf, length)
+                mass += product
+            count += len(roots)
+        if count:
+            scores[candidate] = space.error_weight(candidate) * mass / count
+    return scores
+
+
+@pytest.mark.parametrize("label", LCA_SEMANTICS)
+class TestLCASemantics:
+    def test_paths_identical(self, case, lca_runs, label):
+        answered = 0
+        for query in case.queries:
+            cold, cold_stats = lca_runs[label, query, "cold"]
+            answered += bool(cold)
+            if cold_stats.groups_processed:
+                replay_stats = lca_runs[label, query, "replay"][1]
+                assert replay_stats.intersection_cache_hits == 1, query
+            for path in LCA_PATHS:
+                assert lca_runs[label, query, path][0] == cold, (query, path)
+        assert answered >= len(case.queries) // 2
+
+    def test_scores_match_brute_force(self, case, lca_runs, label):
+        config = XCleanConfig(gamma=None)
+        entities_of = LCA_SEMANTICS[label][1]
+        for query in case.queries:
+            got = lca_runs[label, query, "cold"][0]
+            expected = lca_reference(case.corpus, query, entities_of, config)
+            assert set(got) == set(expected), query
+            for candidate, score in got.items():
+                assert score == pytest.approx(
+                    expected[candidate], rel=1e-9
+                ), (query, candidate)
+
+    def test_counters_match_node_type(self, case, lca_runs, label):
+        # One intersection serves every semantics: only scoring differs.
+        for query, run in case.runs.items():
+            for path in LCA_PATHS:
+                node = run.stats[path]
+                lca = lca_runs[label, query, path][1]
+                for counter in (
+                    "groups_processed",
+                    "postings_read",
+                    "postings_skipped",
+                ):
+                    assert getattr(lca, counter) == getattr(node, counter), (
+                        query,
+                        path,
+                        counter,
+                    )
+
+    def test_node_type_entry_points_refuse(self, label):
+        # Shard rows and score provenance are node-type accumulators.
+        corpus = build_corpus_index(XMLDocument(paper_example_tree()))
+        suggester = LCA_SEMANTICS[label][0](corpus)
+        with pytest.raises(ConfigurationError):
+            suggester.partial_rows("tree icdt")
+        with pytest.raises(ConfigurationError):
+            suggester.suggest_explained("tree icdt")

@@ -83,8 +83,9 @@ class TestVocabularyIntegration:
 
 class TestHelpers:
     def test_merged_list_skips_unknown_tokens(self, corpus):
-        merged = corpus.merged_list(["trie", "notaword"])
-        assert len(merged.drain()) == 5
+        merged = corpus.merged_list_packed(["trie", "notaword"])
+        assert merged.columns.tokens == ["trie"]
+        assert merged.columns.length == 5
 
     def test_max_path_depth(self, corpus):
         assert corpus.max_path_depth() == 4

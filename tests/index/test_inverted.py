@@ -1,10 +1,24 @@
-"""Tests for inverted lists, cursors, and galloping skip_to."""
+"""Tests for inverted lists and the galloping skip over their keys."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.inverted import InvertedIndex, InvertedList, ListCursor
+from repro.core.cleaner import XCleanSuggester
+from repro.core.config import XCleanConfig
+from repro.index.corpus import build_corpus_index
+from repro.index.inverted import (
+    InvertedIndex,
+    InvertedList,
+    PackedInvertedList,
+)
+from repro.index.merge_kernel import gallop_left
+from repro.xmltree.builder import build_tree
+from repro.xmltree.dewey_packed import DeweyPacker
+from repro.xmltree.document import XMLDocument
+
+#: Holds every code below (depth <= 5, components <= 7).
+PACKER = DeweyPacker(max_depth=5, component_bits=3)
 
 deweys = st.lists(
     st.integers(min_value=1, max_value=5), min_size=1, max_size=5
@@ -13,6 +27,15 @@ deweys = st.lists(
 
 def make_list(codes) -> InvertedList:
     return InvertedList("tok", [(c, 0, 1) for c in codes])
+
+
+def first_at_or_after(codes, dewey, start=0) -> int:
+    """Index of the first posting >= ``dewey``, galloping from ``start``.
+
+    The skip of Algorithm 1 (Lines 7–8) over a packed list's keys.
+    """
+    keys = PackedInvertedList.from_inverted(make_list(codes), PACKER).keys
+    return gallop_left(keys, PACKER.pack(dewey), start, len(keys))
 
 
 class TestInvertedList:
@@ -34,41 +57,38 @@ class TestInvertedList:
         assert lst[1][0] == (2,)
 
     def test_first_at_or_after_exact(self):
-        lst = make_list([(1, 1), (1, 3), (1, 5)])
-        assert lst.first_at_or_after((1, 3)) == 1
+        codes = [(1, 1), (1, 3), (1, 5)]
+        assert first_at_or_after(codes, (1, 3)) == 1
 
     def test_first_at_or_after_between(self):
-        lst = make_list([(1, 1), (1, 3), (1, 5)])
-        assert lst.first_at_or_after((1, 2)) == 1
+        codes = [(1, 1), (1, 3), (1, 5)]
+        assert first_at_or_after(codes, (1, 2)) == 1
 
     def test_first_at_or_after_past_end(self):
-        lst = make_list([(1, 1)])
-        assert lst.first_at_or_after((2,)) == 1
+        assert first_at_or_after([(1, 1)], (2,)) == 1
 
     def test_first_at_or_after_from_start_position(self):
-        lst = make_list([(1, 1), (1, 3), (1, 5), (1, 7)])
-        assert lst.first_at_or_after((1, 2), start=2) == 2
+        codes = [(1, 1), (1, 3), (1, 5), (1, 7)]
+        assert first_at_or_after(codes, (1, 2), start=2) == 2
 
     def test_prefix_target_before_descendants(self):
         # skip_to(1.2) must land on the first node inside subtree 1.2.
-        lst = make_list([(1, 1, 1), (1, 2, 1), (1, 3, 1)])
-        assert lst.first_at_or_after((1, 2)) == 1
+        codes = [(1, 1, 1), (1, 2, 1), (1, 3, 1)]
+        assert first_at_or_after(codes, (1, 2)) == 1
 
     @given(st.lists(deweys, min_size=0, max_size=30), deweys)
     def test_matches_linear_scan(self, codes, target):
         codes = sorted(set(codes))
-        lst = make_list(codes)
         expected = next(
             (i for i, c in enumerate(codes) if c >= target), len(codes)
         )
-        assert lst.first_at_or_after(target) == expected
+        assert first_at_or_after(codes, target) == expected
 
     @given(st.lists(deweys, min_size=1, max_size=30), deweys, st.integers(0, 29))
     def test_start_position_respected(self, codes, target, start):
         codes = sorted(set(codes))
         start = min(start, len(codes))
-        lst = make_list(codes)
-        result = lst.first_at_or_after(target, start)
+        result = first_at_or_after(codes, target, start)
         assert result >= start
         expected = next(
             (i for i in range(start, len(codes)) if codes[i] >= target),
@@ -78,30 +98,33 @@ class TestInvertedList:
 
 
 class TestListCursor:
-    def test_advance_reads_in_order(self):
-        cursor = ListCursor(make_list([(1,), (2,), (3,)]))
-        seen = [cursor.advance()[0] for _ in range(3)]
-        assert seen == [(1,), (2,), (3,)]
-        assert cursor.advance() is None
-        assert cursor.exhausted()
-
     def test_skip_counts(self):
-        cursor = ListCursor(make_list([(1, 1), (1, 2), (1, 3), (2, 1)]))
-        head = cursor.skip_to((2,))
-        assert head[0] == (2, 1)
-        assert cursor.skips == 3
-        assert cursor.reads == 0
+        # The merge kernel's cursors: "beta" first occurs under group
+        # 1.2, so the three "alpha" postings under 1.1 are skipped, not
+        # read.
+        corpus = build_corpus_index(
+            XMLDocument(
+                build_tree(
+                    (
+                        "lib",
+                        [
+                            ("item", [("t", "alpha")] * 3),
+                            ("item", [("t", "alpha"), ("t", "beta")]),
+                        ],
+                    )
+                )
+            )
+        )
+        sugg = XCleanSuggester(
+            corpus, config=XCleanConfig(max_errors=0, gamma=None)
+        )
+        sugg.suggest("alpha beta")
+        assert sugg.last_stats.postings_skipped == 3
+        assert sugg.last_stats.postings_read == 2
 
     def test_skip_to_current_is_noop(self):
-        cursor = ListCursor(make_list([(1,), (2,)]))
-        cursor.skip_to((1,))
-        assert cursor.position == 0
-
-    def test_current_does_not_consume(self):
-        cursor = ListCursor(make_list([(1,)]))
-        assert cursor.current()[0] == (1,)
-        assert cursor.current()[0] == (1,)
-        assert cursor.reads == 0
+        codes = [(1,), (2,), (3,)]
+        assert first_at_or_after(codes, (2,), start=1) == 1
 
 
 class TestInvertedIndex:

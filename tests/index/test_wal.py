@@ -9,6 +9,7 @@ unacknowledged suffix and never yields a corrupt record.
 import json
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -21,6 +22,11 @@ SUBTREE = {"label": "title", "text": "spelling"}
 
 def record(i: int) -> WalRecord:
     return WalRecord(op="add", dewey=(1, i + 1), subtree=SUBTREE)
+
+
+def clean_frame(payload: bytes) -> bytes:
+    """A CRC-clean frame around arbitrary (crafted) payload bytes."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
 @pytest.fixture
@@ -185,6 +191,30 @@ class TestTornTails:
             handle.write(frame + payload)
         fresh = WriteAheadLog(wal.path)
         assert fresh.replay() == recs
+
+
+    @pytest.mark.parametrize(
+        "header",
+        [b'{"base_generation": 1e400}', b"[" * 100_000],
+        ids=["overflowing-generation", "deep-nesting"],
+    )
+    def test_crafted_header_raises_storage_error(self, tmp_path, header):
+        path = str(tmp_path / "crafted.wal")
+        with open(path, "wb") as handle:
+            handle.write(MAGIC + clean_frame(header))
+        with pytest.raises(StorageError):
+            WriteAheadLog(path).replay()
+
+    def test_deeply_nested_record_stops_replay(self, wal):
+        # Nesting past the JSON parser's recursion limit is one more
+        # unparseable CRC-clean record: replay keeps the prefix.
+        recs = self.filled(wal, n=2)
+        size = os.path.getsize(wal.path)
+        with open(wal.path, "ab") as handle:
+            handle.write(clean_frame(b"[" * 100_000))
+        fresh = WriteAheadLog(wal.path)
+        assert fresh.replay() == recs
+        assert os.path.getsize(wal.path) == size
 
 
 class TestFaultSite:

@@ -1,6 +1,7 @@
 """Tests for the xclean command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -92,6 +93,26 @@ class TestPipeline:
             ["suggest", "--index", index_path, "--query", "datt",
              "--prior", "length"]
         ) == 0
+
+    def test_score_cells_are_not_rounded_to_zero(self, tmp_path, capsys):
+        # Eq. 10 scores are ~1e-6: a fixed 3-decimal cell reads 0.000.
+        xml_path = str(tmp_path / "p.xml")
+        index_path = str(tmp_path / "p.xcs3")
+        main(["generate", "--dataset", "dblp", "--out", xml_path,
+              "--size", "60"])
+        main(["index", "--xml", xml_path, "--out", index_path,
+              "--format", "v3"])
+        capsys.readouterr()
+        runs = [
+            ["suggest", "--query", "ricardo brunoo", "--semantics", s]
+            for s in ("node-type", "slca", "elca")
+        ] + [["search", "--query", "ricardo bruno"]]
+        for args in runs:
+            assert main(args + ["--index", index_path, "-k", "1"]) == 0
+            header, _rule, row = capsys.readouterr().out.splitlines()[:3]
+            split = re.compile(r"\s{2,}").split
+            cells = dict(zip(split(header), split(row)))
+            assert float(cells["score"]) > 0, args
 
     def test_generate_wiki(self, tmp_path, capsys):
         xml_path = str(tmp_path / "wiki.xml")
