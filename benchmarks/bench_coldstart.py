@@ -1,10 +1,10 @@
-"""Cold-start benchmark — snapshot v3 vs the v1/v2 object-graph loaders.
+"""Cold-start benchmark — snapshot v3 vs the v2 object-graph loader.
 
 Measures, on the synthetic DBLP dataset:
 
-* **save/build time** for every on-disk format, including the v3
+* **save/build time** for both on-disk formats, including the v3
   parallel builder (whose output must be byte-identical to serial);
-* **load time** (best of N) for text v1, binary v2, and mmap v3 — the
+* **load time** (best of N) for archival binary v2 and mmap v3 — the
   claim under test is that v3 is at least 5x faster than
   ``load_index_binary`` at the default scale, because it maps sections
   instead of materializing per-posting Python objects;
@@ -45,7 +45,6 @@ from repro.core.server import SuggestionService, _init_worker_snapshot
 from repro.eval.experiments import dblp_setting
 from repro.eval.reporting import format_table, shape_check
 from repro.index.snapshot import build_snapshot, load_snapshot
-from repro.index.storage import load_index, save_index
 from repro.index.storage_binary import (
     load_index_binary,
     save_index_binary,
@@ -89,18 +88,14 @@ def best_of(action, reps: int = LOAD_REPS) -> float:
 
 
 def bench_formats(setting, directory: Path) -> dict:
-    """Save + load timings for v1/v2/v3, plus parallel-build parity."""
+    """Save + load timings for v2/v3, plus parallel-build parity."""
     corpus = setting.corpus
     clock = time.perf_counter
     paths = {
-        "v1_text": directory / "dblp.xci",
         "v2_binary": directory / "dblp.xcib",
         "v3_snapshot": directory / "dblp.xcs3",
     }
 
-    began = clock()
-    save_index(corpus, str(paths["v1_text"]))
-    v1_save = clock() - began
     began = clock()
     save_index_binary(corpus, str(paths["v2_binary"]))
     v2_save = clock() - began
@@ -124,7 +119,6 @@ def bench_formats(setting, directory: Path) -> dict:
     )
 
     loads = {
-        "v1_text": best_of(lambda: load_index(str(paths["v1_text"]))),
         "v2_binary": best_of(
             lambda: load_index_binary(str(paths["v2_binary"]))
         ),
@@ -137,7 +131,6 @@ def bench_formats(setting, directory: Path) -> dict:
             name: path.stat().st_size for name, path in paths.items()
         },
         "save_s": {
-            "v1_text": v1_save,
             "v2_binary": v2_save,
             "v3_snapshot": v3_save,
             "v3_snapshot_parallel": v3_parallel_save,
@@ -145,7 +138,6 @@ def bench_formats(setting, directory: Path) -> dict:
         "load_s": loads,
         "parallel_build_identical": parallel_identical,
         "speedup_v3_vs_v2": loads["v2_binary"] / loads["v3_snapshot"],
-        "speedup_v3_vs_v1": loads["v1_text"] / loads["v3_snapshot"],
     }
 
 
@@ -250,7 +242,7 @@ def run(scale: str) -> dict:
                 1e3 * formats["save_s"][name],
                 1e3 * formats["load_s"][name],
             )
-            for name in ("v1_text", "v2_binary", "v3_snapshot")
+            for name in ("v2_binary", "v3_snapshot")
         ],
         title=f"Cold start by format ({scale} scale)",
     )
@@ -306,10 +298,6 @@ def run(scale: str) -> dict:
             [
                 ("v3 vs v2 load speedup", f"{speedup:.1f}x"),
                 (
-                    "v3 vs v1 load speedup",
-                    f"{formats['speedup_v3_vs_v1']:.1f}x",
-                ),
-                (
                     "snapshot worker RSS (kB)",
                     pool["snapshot"].get("worker_rss_kb", 0),
                 ),
@@ -329,7 +317,7 @@ def test_coldstart():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Cold-start benchmark (snapshot v3 vs v1/v2)"
+        description="Cold-start benchmark (snapshot v3 vs v2)"
     )
     parser.add_argument(
         "--scale",

@@ -1,12 +1,11 @@
-"""Index sizes — Section VII-A's report, plus the codec comparison.
+"""Index sizes — Section VII-A's report.
 
 The paper: "The index sizes of the INEX and DBLP datasets are 1.8GB
 and 400MB, respectively" — i.e. the index is a small multiple of the
-raw XML (0.31× and 0.76×).  We report raw XML size, the text index
-format, and the compressed binary format, asserting:
+raw XML (0.31× and 0.76×).  We report raw XML size and the size of the
+compact archival binary (v2) format, whose Dewey delta + varint coding
+is the counterpart of a disk-resident index, asserting:
 
-* the binary format is substantially smaller than the text format
-  (Dewey delta + varint coding);
 * the binary index is within a small multiple of the raw XML, like
   the paper's;
 * the binary round-trip is lossless.
@@ -15,7 +14,6 @@ format, and the compressed binary format, asserting:
 from _common import bench_scale, emit, settings
 
 from repro.eval.reporting import format_table, shape_check
-from repro.index import storage
 from repro.index.storage_binary import dumps_binary, loads_binary
 
 
@@ -26,21 +24,18 @@ def test_index_size(benchmark):
     for label in ("INEX", "DBLP"):
         setting = settings(scale)[label]
         xml_bytes = setting.document.stats.size_bytes
-        text_bytes = len(storage.dumps(setting.corpus).encode())
         binary_bytes = len(dumps_binary(setting.corpus))
-        measures[label] = (xml_bytes, text_bytes, binary_bytes)
+        measures[label] = (xml_bytes, binary_bytes)
         rows.append(
             (
                 label,
                 round(xml_bytes / 1024, 1),
-                round(text_bytes / 1024, 1),
                 round(binary_bytes / 1024, 1),
                 f"{binary_bytes / xml_bytes:.2f}x",
             )
         )
     table = format_table(
-        ("Dataset", "XML (KB)", "text index (KB)",
-         "binary index (KB)", "binary/XML"),
+        ("Dataset", "XML (KB)", "binary index (KB)", "binary/XML"),
         rows,
         title=f"Index sizes ({scale} scale; paper: INEX 1.8GB/5.8GB,"
         " DBLP 400MB/526MB)",
@@ -48,14 +43,7 @@ def test_index_size(benchmark):
 
     checks = []
     for label in ("INEX", "DBLP"):
-        xml_bytes, text_bytes, binary_bytes = measures[label]
-        checks.append(
-            shape_check(
-                f"{label}: binary format beats text format "
-                f"({binary_bytes/text_bytes:.2f}x)",
-                binary_bytes < text_bytes,
-            )
-        )
+        xml_bytes, binary_bytes = measures[label]
         checks.append(
             shape_check(
                 f"{label}: binary index within 2x of the raw XML "

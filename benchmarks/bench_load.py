@@ -122,7 +122,7 @@ class Server:
 def build_index(scale: str, workdir: Path) -> Path:
     """Generate a synthetic DBLP corpus and a v3 snapshot index."""
     xml_path = workdir / "dblp.xml"
-    index_path = workdir / "dblp.xci"
+    index_path = workdir / "dblp.xcs3"
     publications = SCALES[scale]["publications"]
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
@@ -133,8 +133,7 @@ def build_index(scale: str, workdir: Path) -> Path:
     for args in (
         ["generate", "--dataset", "dblp", "--size",
          str(publications), "--out", str(xml_path)],
-        ["index", "--xml", str(xml_path), "--out", str(index_path),
-         "--format", "v3"],
+        ["index", "--xml", str(xml_path), "--out", str(index_path)],
     ):
         subprocess.run(
             [sys.executable, "-m", "repro.cli", *args],
@@ -146,9 +145,9 @@ def build_index(scale: str, workdir: Path) -> Path:
 
 def workload_queries(index_path: Path) -> list[str]:
     """Misspelled queries built from the index's own vocabulary."""
-    from repro.index.snapshot import snapshot_or_corpus
+    from repro.index.snapshot import load_snapshot
 
-    corpus = snapshot_or_corpus(str(index_path))
+    corpus = load_snapshot(str(index_path))
     rows = sorted(
         corpus.vocabulary.export_rows(),
         key=lambda row: -row[2],  # document frequency

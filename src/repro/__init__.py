@@ -55,13 +55,7 @@ from repro.fastss import (
     edit_distance,
     soundex,
 )
-from repro.index import (
-    CorpusIndex,
-    Tokenizer,
-    build_corpus_index,
-    load_index,
-    save_index,
-)
+from repro.index import CorpusIndex, Tokenizer, build_corpus_index
 from repro.xmltree import XMLDocument, XMLNode, build_tree, parse_document
 
 __version__ = "1.0.0"
@@ -103,6 +97,4 @@ __all__ = [
     "edit_distance",
     "soundex",
     "parse_document",
-    "save_index",
-    "load_index",
 ]

@@ -3,23 +3,23 @@
 Installed as the ``xclean`` console script::
 
     xclean generate --dataset dblp --out dblp.xml
-    xclean index --xml dblp.xml --out dblp.xci [--format binary]
+    xclean index --xml dblp.xml --out dblp.xcs3
     xclean index --xml dblp.xml --out shards/ --shards 4
     xclean verify --index shards/            # or a single .xcs3 path
-    xclean suggest --index dblp.xci --query "keywrod serach" -k 5
-    xclean explain --index dblp.xci --query "keywrod serach" -k 5
-    xclean trace --index dblp.xci --query "keywrod serach" --format chrome
-    xclean batch --index dblp.xci --queries queries.txt --workers 4
+    xclean suggest --index dblp.xcs3 --query "keywrod serach" -k 5
+    xclean explain --index dblp.xcs3 --query "keywrod serach" -k 5
+    xclean trace --index dblp.xcs3 --query "keywrod serach" --format chrome
+    xclean batch --index dblp.xcs3 --queries queries.txt --workers 4
     xclean batch --index shards/ --queries queries.txt --replicas 2
-    xclean metrics --index dblp.xci --queries queries.txt --format prometheus
-    xclean search --index dblp.xci --query "keyword search" --xml dblp.xml
+    xclean metrics --index dblp.xcs3 --queries queries.txt --format prometheus
+    xclean search --index dblp.xcs3 --query "keyword search" --xml dblp.xml
     xclean evaluate --dataset dblp --scale small
-    xclean chaos --index dblp.xci --queries queries.txt \
+    xclean chaos --index dblp.xcs3 --queries queries.txt \
         --plan "worker.query:raise@2;merge.step:delay=0.001"
-    xclean serve --index dblp.xci --port 8080 --access-log access.jsonl
-    xclean status --index dblp.xci [--watch]
-    xclean update --index dblp.xci --ops updates.json --source dblp.xml
-    xclean compact --index dblp.xci
+    xclean serve --index dblp.xcs3 --port 8080 --access-log access.jsonl
+    xclean status --index dblp.xcs3 [--watch]
+    xclean update --index dblp.xcs3 --ops updates.json --source dblp.xml
+    xclean compact --index dblp.xcs3
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from repro.eval.reporting import format_table
 from repro.eval.runner import evaluate_suggester
 from repro.exceptions import Overloaded, ReproError
 from repro.index.corpus import build_corpus_index
-from repro.index.snapshot import build_snapshot, snapshot_or_corpus
-from repro.index.storage import save_index
-from repro.index.storage_binary import save_index_binary
+from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.obs import MetricsRegistry
 from repro.obs import faults
 from repro.obs.export import chrome_trace, trace_to_json_line
@@ -75,26 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="publications / articles (0 = default scale)",
     )
 
-    index = sub.add_parser("index", help="index an XML file")
+    index = sub.add_parser("index", help="index an XML file (v3 snapshot)")
     index.add_argument("--xml", required=True, help="input XML path")
-    index.add_argument("--out", required=True, help="output index path")
-    index.add_argument(
-        "--format",
-        choices=("text", "binary", "v3"),
-        default="text",
-        help="text is diff-able; binary is ~2x smaller; v3 is the "
-        "mmap snapshot (near-instant loads, shared worker pages)",
-    )
+    index.add_argument("--out", required=True, help="output .xcs3 path")
     index.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers for the v3 snapshot build "
+        help="parallel workers for the snapshot build "
         "(default: serial; output is byte-identical either way)",
     )
     index.add_argument(
         "--shards", type=int, default=0,
         help="partition into this many v3 snapshot shards under "
         "--out (a directory) with a CRC-checked manifest; 0 builds "
-        "a single index in --format",
+        "a single snapshot",
     )
     index.add_argument(
         "--partition-depth", type=int, default=None,
@@ -562,12 +553,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             f"{manifest.partition_depth})"
         )
         return 0
-    if args.format == "v3":
-        build_snapshot(corpus, args.out, workers=args.workers)
-    elif args.format == "binary":
-        save_index_binary(corpus, args.out)
-    else:
-        save_index(corpus, args.out)
+    build_snapshot(corpus, args.out, workers=args.workers)
     description = corpus.describe()
     print(
         f"wrote {args.out}: {description['tokens']} tokens, "
@@ -576,22 +562,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_any_index(path: str, metrics=None):
-    """Load a text, binary, or v3 snapshot index by magic sniffing.
-
-    Whatever the format, the load is timed under the ``index_load``
-    stage of ``metrics`` (when given), so cold-start cost shows up in
-    the same ``stage_seconds`` family as the query stages.
-    """
-    return snapshot_or_corpus(path, metrics=metrics)
-
-
 def _open_service(args, registry, config, **kwargs):
     """The serving object behind ``--index``: single or sharded.
 
     A shard-manifest path (directory or ``manifest.json``) opens a
     :class:`~repro.core.shards.ShardedSuggestionService`; anything
-    else loads as a single index behind :class:`SuggestionService`.
+    else loads as a single v3 snapshot behind
+    :class:`SuggestionService`.
     Both expose the same serving surface, so callers don't branch.
     """
     from repro.index.sharding import is_manifest, resolve_manifest_path
@@ -608,14 +585,14 @@ def _open_service(args, registry, config, **kwargs):
             metrics=registry,
             **kwargs,
         )
-    corpus = _load_any_index(args.index, metrics=registry)
+    corpus = load_snapshot(args.index, metrics=registry)
     return SuggestionService(
         corpus, config=config, metrics=registry, **kwargs
     )
 
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
-    corpus = _load_any_index(args.index)
+    corpus = load_snapshot(args.index)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
@@ -641,7 +618,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    corpus = _load_any_index(args.index)
+    corpus = load_snapshot(args.index)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
@@ -660,7 +637,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    corpus = _load_any_index(args.index)
+    corpus = load_snapshot(args.index)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
@@ -801,7 +778,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             live.apply(ops)
             if args.compact:
                 live.compact()
-    corpus = _load_any_index(args.index, metrics=registry)
+    corpus = load_snapshot(args.index, metrics=registry)
     queries = _read_queries(args.queries)
     with SuggestionService(
         corpus,
@@ -822,7 +799,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    corpus = _load_any_index(args.index)
+    corpus = load_snapshot(args.index)
     engine = EntitySearch(corpus)
     results = engine.search(args.query, args.k)
     if not results:
@@ -881,7 +858,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
-    corpus = _load_any_index(args.index, metrics=registry)
+    corpus = load_snapshot(args.index, metrics=registry)
     queries = _read_queries(args.queries)
     if not queries:
         print("(no queries)")

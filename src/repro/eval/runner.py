@@ -134,22 +134,20 @@ def evaluate_snapshot(
     workload: str = "",
     config=None,
 ) -> EvalResult:
-    """Cold-start evaluation: load an on-disk index, run the workload.
+    """Cold-start evaluation: load a v3 snapshot, run the workload.
 
-    ``index_path`` may be any persisted format — a v3 snapshot mmaps
-    in near-constant time, v1/v2 deserialize.  A fresh
-    :class:`~repro.core.cleaner.XCleanSuggester` is built over the
-    loaded corpus (snapshot-backed corpora serve variants straight
-    from their embedded FastSS sections), so the numbers include what
-    a worker pays between process start and its first answer.  The
-    load time is attached to the result as
+    The snapshot mmaps in near-constant time, and a fresh
+    :class:`~repro.core.cleaner.XCleanSuggester` is built over it
+    (serving variants straight from its embedded FastSS sections), so
+    the numbers include what a worker pays between process start and
+    its first answer.  The load time is attached to the result as
     ``metrics["index_load_seconds"]``.
     """
     from repro.core.cleaner import XCleanSuggester
-    from repro.index.snapshot import snapshot_or_corpus
+    from repro.index.snapshot import load_snapshot
 
     started = time.perf_counter()
-    corpus = snapshot_or_corpus(index_path)
+    corpus = load_snapshot(index_path)
     load_seconds = time.perf_counter() - started
     suggester = XCleanSuggester(corpus, config=config)
     result = evaluate_suggester(

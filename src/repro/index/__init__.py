@@ -13,7 +13,6 @@ from repro.index.path_index import (
     build_path_index,
     path_counts_from_postings,
 )
-from repro.index.storage import dumps, load_index, loads, save_index
 from repro.index.storage_binary import (
     dumps_binary,
     load_index_binary,
@@ -39,13 +38,9 @@ __all__ = [
     "Vocabulary",
     "build_corpus_index",
     "build_path_index",
-    "dumps",
     "dumps_binary",
-    "load_index",
     "load_index_binary",
-    "loads",
     "loads_binary",
     "path_counts_from_postings",
-    "save_index",
     "save_index_binary",
 ]

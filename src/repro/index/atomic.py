@@ -1,6 +1,6 @@
 """Crash-safe file writes: temp file + fsync + atomic rename.
 
-Every on-disk index writer (v1 text, v2 binary, v3 snapshot) funnels
+Every on-disk writer (snapshot, v2 binary, manifest, live sidecar) funnels
 through :func:`atomic_write`, so a process killed mid-write can never
 leave a half-written file under the destination name: the bytes go to
 ``<path>.tmp``, are fsynced, and only then renamed over ``<path>`` with

@@ -166,10 +166,20 @@ class LiveIndexManager:
         self, document: XMLDocument | None
     ) -> XMLDocument:
         if os.path.exists(self.live_path):
-            with open(self.live_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            live_generation = int(payload.get("generation", 0))
-            recovered = document_from_json(payload)
+            try:
+                with open(self.live_path, encoding="utf-8") as handle:
+                    payload = json.load(handle)
+                live_generation = payload.get("generation", 0)
+                if type(live_generation) is not int:
+                    raise TypeError(f"generation {live_generation!r}")
+                recovered = document_from_json(payload)
+            except (
+                ValueError, KeyError, TypeError, AttributeError,
+                RecursionError, UpdateError,
+            ) as error:
+                raise StorageError(
+                    f"{self.live_path}: malformed live source: {error!r}"
+                ) from None
             if live_generation > self.generation:
                 # Crash between the live-source write and the base
                 # swap: finish the interrupted compaction now.

@@ -46,7 +46,7 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.index.atomic import atomic_write
 from repro.index.snapshot import build_snapshot, verify_snapshot
@@ -323,13 +323,14 @@ def load_manifest(path: str) -> ShardManifest:
     """Load + integrity-check a shard manifest.
 
     Raises :class:`StorageError` on a bad format tag, a crc mismatch
-    (any byte of the payload changed since the build), or per-shard
-    totals that no longer sum to the recorded global totals.
+    (any byte of the payload changed since the build), a missing or
+    mistyped field, or per-shard totals that no longer sum to the
+    recorded global totals.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, RecursionError) as error:
         raise StorageError(
             f"cannot read shard manifest {path}: {error}"
         ) from error
@@ -350,9 +351,19 @@ def load_manifest(path: str) -> ShardManifest:
             f"{path}: manifest crc mismatch (stored {stored_crc}, "
             f"computed {actual_crc}) — manifest corrupt or hand-edited"
         )
+    try:
+        return _manifest_from(document, path)
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise StorageError(
+            f"{path}: malformed manifest: {error!r}"
+        ) from None
+
+
+def _manifest_from(document: dict, path: str) -> ShardManifest:
+    """The manifest a CRC-valid ``document`` describes."""
     totals = document["totals"]
     shards = tuple(
-        ShardInfo(
+        _typed(ShardInfo(
             shard_id=entry["shard_id"],
             path=entry["path"],
             sha256=entry["sha256"],
@@ -361,11 +372,13 @@ def load_manifest(path: str) -> ShardManifest:
             token_total=entry["token_total"],
             postings=entry["postings"],
             range=tuple(entry["range"]) if "range" in entry else None,
-        )
+        ))
         for entry in document["shards"]
     )
-    if [info.shard_id for info in shards] != list(range(len(shards))):
-        raise StorageError(f"{path}: shard ids must be 0..N-1 in order")
+    if not shards or [info.shard_id for info in shards] != list(
+        range(len(shards))
+    ):
+        raise StorageError(f"{path}: shard ids must be 0..N-1, N >= 1")
     for field in ("entities", "token_total", "postings"):
         share_sum = sum(getattr(info, field) for info in shards)
         if share_sum != totals[field]:
@@ -373,7 +386,7 @@ def load_manifest(path: str) -> ShardManifest:
                 f"{path}: per-shard {field} sum {share_sum} != global "
                 f"total {totals[field]}"
             )
-    return ShardManifest(
+    return _typed(ShardManifest(
         name=document["name"],
         partition_depth=document["partition_depth"],
         strategy=document["strategy"],
@@ -382,17 +395,30 @@ def load_manifest(path: str) -> ShardManifest:
         token_total=totals["token_total"],
         postings=totals["postings"],
         generation=document.get("generation", 0),
-        crc=stored_crc,
+        crc=document["crc"],
         directory=os.path.dirname(os.path.abspath(path)),
-    )
+    ))
+
+
+def _typed(record):
+    """``record``, once each of its int and str fields has that type.
+
+    Field types are compared by name: under ``from __future__ import
+    annotations`` a dataclass field's ``type`` is its annotation text.
+    """
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if spec.type in ("int", "str") and type(value).__name__ != spec.type:
+            raise TypeError(f"{spec.name} must be {spec.type}: {value!r}")
+    return record
 
 
 def is_manifest(path: str) -> bool:
     """Cheap sniff: does ``path`` look like a shard manifest?
 
-    Reads only the first bytes — the dispatch twin of the XCS3 magic
-    check in ``snapshot_or_corpus``.  A directory counts when it holds
-    a ``manifest.json``.
+    Reads only the first bytes, so ``--index`` can dispatch between a
+    manifest and a single v3 snapshot.  A directory counts when it
+    holds a ``manifest.json``.
     """
     if os.path.isdir(path):
         return os.path.exists(os.path.join(path, MANIFEST_NAME))

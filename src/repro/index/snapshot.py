@@ -1,10 +1,11 @@
 """Snapshot v3: zero-copy mmap persistence of the packed index.
 
-The v1 text and v2 binary formats deserialize the corpus into a full
-Python object graph — fine for archival, linear in corpus size at every
-process start.  The v3 *snapshot* stores the structures the packed
-query engine actually touches as flat, little-endian, 8-byte-aligned
-sections in one file, so loading is::
+The one index format every ``xclean`` command builds and reads.  The
+archival v2 binary codec (:mod:`repro.index.storage_binary`)
+deserializes the corpus into a full Python object graph, linear in
+corpus size at every process start.  The v3 *snapshot* stores the
+structures the packed query engine actually touches as flat,
+little-endian, 8-byte-aligned sections in one file, so loading is::
 
     mmap the file → parse a fixed-size header + section table →
     wrap each section in a ``memoryview`` cast to its element type.
@@ -152,6 +153,16 @@ _SECTION_FORMATS: dict[str, str | None] = {
 
 _REQUIRED_SECTIONS = tuple(
     name for name in _SECTION_FORMATS if not name.startswith("fss_")
+)
+
+#: Sections the fast loader materializes into Python objects, all
+#: O(paths), so their CRCs are checked on every load: a flipped byte in
+#: them would otherwise surface as a ``KeyError`` or a wrong path
+#: table.  The O(postings) sections stay mapped and unchecked until
+#: :func:`verify_snapshot`.
+_LOAD_CHECKED = (
+    "meta", "paths_off", "paths_blob", "pnode_pids", "pnode_counts",
+    "ptot_pids", "ptot_vals",
 )
 
 #: Bound of the per-structure string/id memo dicts on the query path
@@ -590,7 +601,7 @@ def _parse_table(mapped) -> dict[str, tuple[int, int, int]]:
         raw_name, offset, length, crc, _reserved = _ENTRY.unpack_from(
             table, position * _ENTRY.size
         )
-        name = raw_name.rstrip(b"\0").decode("ascii")
+        name = raw_name.rstrip(b"\0").decode("ascii", "replace")
         if offset + length > len(mapped):
             raise StorageError(
                 f"snapshot section {name!r} out of bounds "
@@ -605,6 +616,16 @@ def _parse_table(mapped) -> dict[str, tuple[int, int, int]]:
             f"{', '.join(missing)}"
         )
     return out
+
+
+def _check_crc(name: str, payload, stored: int) -> None:
+    """Raise :class:`StorageError` unless ``payload`` matches its CRC."""
+    actual = zlib.crc32(payload) & 0xFFFFFFFF
+    if actual != stored:
+        raise StorageError(
+            f"snapshot section {name!r} checksum mismatch "
+            f"(stored {stored:#010x}, computed {actual:#010x})"
+        )
 
 
 class _Sections:
@@ -1107,6 +1128,10 @@ class SnapshotCorpusIndex(QueryEngineMixin):
         )
 
         packer_meta = meta["packer"]
+        # Keys are int64 columns; a wider claim is malformed, and
+        # DeweyPacker would allocate 2**component_bits to mask it.
+        if not 0 < packer_meta["component_bits"] < 64:
+            raise ValueError("packer component_bits out of range")
         packer = DeweyPacker(
             packer_meta["max_depth"], packer_meta["component_bits"]
         )
@@ -1285,21 +1310,28 @@ def load_snapshot(path: str, metrics=None) -> SnapshotCorpusIndex:
 
     O(header + paths): posting, vocabulary, and FastSS sections are
     only *referenced*, their bytes fault in lazily as queries touch
-    them.  Header, table checksum, and section bounds are validated;
-    run :func:`verify_snapshot` for a deep per-section CRC check.
+    them.  Header, table checksum, section bounds and the CRCs of the
+    sections materialized here are validated, and any malformed
+    content raises :class:`StorageError`; run :func:`verify_snapshot`
+    for a deep per-section CRC check.
     """
     metrics = metrics or NULL_METRICS
     with metrics.stage(INDEX_LOAD_STAGE):
         mapped = _map_file(path)
         table = _parse_table(mapped)
         sections = _Sections(mapped, table)
+        for name in _LOAD_CHECKED:
+            _check_crc(name, sections.blob(name), table[name][2])
         try:
             meta = json.loads(bytes(sections.blob("meta")))
-        except ValueError as error:
+            return SnapshotCorpusIndex(mapped, sections, meta, path)
+        except (
+            KeyError, TypeError, ValueError, ArithmeticError,
+            RecursionError, DeweyError,
+        ) as error:
             raise StorageError(
-                f"snapshot meta section is not valid JSON: {error}"
+                f"malformed snapshot {path}: {error!r}"
             ) from None
-        return SnapshotCorpusIndex(mapped, sections, meta, path)
 
 
 def verify_snapshot(path: str) -> dict:
@@ -1314,13 +1346,7 @@ def verify_snapshot(path: str) -> dict:
         table = _parse_table(mapped)
         view = memoryview(mapped)
         for name, (offset, length, stored) in sorted(table.items()):
-            actual = zlib.crc32(view[offset : offset + length])
-            actual &= 0xFFFFFFFF
-            if actual != stored:
-                raise StorageError(
-                    f"snapshot section {name!r} checksum mismatch "
-                    f"(stored {stored:#010x}, computed {actual:#010x})"
-                )
+            _check_crc(name, view[offset : offset + length], stored)
         view.release()
         return {
             "path": path,
@@ -1370,22 +1396,21 @@ def load_resilient(
     fallback_path: str | None = None,
     rebuild=None,
 ):
-    """Load an on-disk index, quarantining a corrupt v3 snapshot.
+    """Load a v3 snapshot, quarantining it when it is corrupt.
 
     The degradation ladder:
 
-    1. ``snapshot_or_corpus(path)`` — optionally preceded by a deep
-       per-section CRC check (``verify=True``) when the file is a v3
-       snapshot;
-    2. on a :class:`StorageError` from a v3 snapshot, the file is
-       quarantined (moved to ``path + ".quarantined"``, counter
-       bumped) and the loader falls back to ``fallback_path`` (a v1/v2
-       index or older snapshot) when given;
+    1. ``load_snapshot(path)`` — optionally preceded by a deep
+       per-section CRC check (``verify=True``);
+    2. on a :class:`StorageError` from a file that carries the
+       snapshot magic, the file is quarantined (moved to
+       ``path + ".quarantined"``, counter bumped) and the loader falls
+       back to ``fallback_path`` (an older snapshot) when given;
     3. else to ``rebuild()`` — a zero-argument callable returning a
        fresh corpus index (e.g. re-parsing the source documents).
 
-    Corruption in a *non*-snapshot file is not quarantined (the v1/v2
-    formats are the fallback tier, not the managed artifact) but still
+    A file without the snapshot magic is not quarantined (it is not
+    the managed artifact; it stays put for inspection) but still
     falls through the same ladder.  Raises the original
     :class:`StorageError` when no fallback recovers.
     """
@@ -1396,7 +1421,7 @@ def load_resilient(
         is_snapshot = magic == MAGIC
         if is_snapshot and verify:
             verify_snapshot(path)
-        return snapshot_or_corpus(path, metrics=metrics)
+        return load_snapshot(path, metrics=metrics)
     except StorageError as error:
         if is_snapshot:
             quarantine_snapshot(path, metrics=metrics)
@@ -1412,25 +1437,3 @@ def load_resilient(
         if rebuild is not None:
             return rebuild()
         raise
-
-
-def snapshot_or_corpus(path: str, metrics=None):
-    """Load ``path`` as a snapshot if it is one, else as v1/v2.
-
-    The cold-start entry point for callers that accept any on-disk
-    index: sniffs the magic and dispatches to the right loader, timing
-    either path under the ``index_load`` stage.
-    """
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-    if magic == MAGIC:
-        return load_snapshot(path, metrics=metrics)
-    metrics = metrics or NULL_METRICS
-    with metrics.stage(INDEX_LOAD_STAGE):
-        from repro.index.storage import load_index
-        from repro.index.storage_binary import MAGIC as BINARY_MAGIC
-        from repro.index.storage_binary import load_index_binary
-
-        if magic == BINARY_MAGIC:
-            return load_index_binary(path)
-        return load_index(path)

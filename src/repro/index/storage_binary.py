@@ -1,10 +1,12 @@
-"""Compact binary persistence for :class:`CorpusIndex`.
+"""Compact binary persistence for :class:`CorpusIndex` (v2, archival).
 
-The counterpart of the line-oriented text format in
-:mod:`repro.index.storage`, built on the varint/delta codec of
-:mod:`repro.index.compression`.  Several times smaller on real indexes
-(Dewey deltas dominate; see ``bench_index_size.py``), at the cost of
-not being diff-able.
+A library codec built on the varint/delta codec of
+:mod:`repro.index.compression`; nothing in the ``xclean`` CLI writes
+or reads it (every command uses the v3 snapshot of
+:mod:`repro.index.snapshot`).  It stays because it is the compact
+on-disk form behind the paper's index-size ratio
+(``bench_index_size.py``, Dewey deltas dominate) and the v2 baseline
+of ``bench_coldstart.py`` and ``bench_serving.py``.
 
 Layout (all integers varint, all strings length-prefixed UTF-8)::
 
@@ -194,7 +196,8 @@ def loads_binary(data: bytes) -> CorpusIndex:
 def save_index_binary(index: CorpusIndex, path: str) -> None:
     """Write the compact binary form to ``path`` (crash-safe).
 
-    Atomic temp-file rename as in :func:`repro.index.storage.save_index`.
+    The bytes land in a temp file that is atomically renamed into
+    place (see :mod:`repro.index.atomic`).
     """
     with atomic_write(path, "wb") as handle:
         handle.write(dumps_binary(index))

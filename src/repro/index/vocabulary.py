@@ -122,7 +122,7 @@ class Vocabulary:
         return self.max_relative_tf(token) * self.idf(token)
 
     # ------------------------------------------------------------------
-    # Persistence hooks (used by repro.index.storage)
+    # Persistence hooks (snapshot and v2 binary codecs)
     # ------------------------------------------------------------------
 
     def export_rows(self) -> Iterator[tuple[str, int, int, float]]:

@@ -92,11 +92,13 @@ class HTTPRequest:
         if raw is None:
             return 0
         try:
+            # RFC 9112 allows only 1*DIGIT: no sign, "_" or non-ASCII
+            # digit, all of which Python's int() accepts.
+            if not (raw.isascii() and raw.isdigit()):
+                raise ValueError(raw)
             length = int(raw)
         except ValueError:
             raise BadRequest(f"invalid Content-Length {raw!r}") from None
-        if length < 0:
-            raise BadRequest(f"invalid Content-Length {raw!r}")
         if length > max_bytes:
             raise BadRequest(
                 f"request body of {length} bytes exceeds the "
@@ -114,7 +116,9 @@ class HTTPRequest:
         """
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers bad UTF-8, bad JSON and integers past
+            # the int-string digit limit; RecursionError deep nesting.
             raise BadRequest(f"invalid JSON body: {error}") from None
         if not isinstance(payload, dict):
             raise BadRequest("JSON body must be an object")
@@ -172,8 +176,11 @@ def parse_target(target: str) -> tuple[str, dict[str, str]]:
     """
     if not target.startswith("/"):
         raise BadRequest(f"unsupported request target {target!r}")
-    split = urlsplit(target)
-    params = dict(parse_qsl(split.query, keep_blank_values=True))
+    try:
+        split = urlsplit(target)  # ValueError on e.g. "//[x"
+        params = dict(parse_qsl(split.query, keep_blank_values=True))
+    except ValueError as error:
+        raise BadRequest(f"malformed request target: {error}") from None
     return unquote(split.path), params
 
 

@@ -12,8 +12,11 @@ import pytest
 from repro.index import atomic as atomic_module
 from repro.index.atomic import TMP_SUFFIX, atomic_write
 from repro.index.corpus import build_corpus_index
-from repro.index.snapshot import build_snapshot, verify_snapshot
-from repro.index.storage import load_index, save_index
+from repro.index.snapshot import (
+    build_snapshot,
+    load_snapshot,
+    verify_snapshot,
+)
 from repro.index.storage_binary import load_index_binary, save_index_binary
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
@@ -73,7 +76,7 @@ class TestWritersSurviveCrash:
     @pytest.mark.parametrize(
         "save,load,name",
         [
-            (save_index, load_index, "index.xci"),
+            (build_snapshot, load_snapshot, "index.xcs3"),
             (save_index_binary, load_index_binary, "index.xcib"),
         ],
     )

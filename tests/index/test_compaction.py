@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
-from repro.exceptions import UpdateError
+from repro.exceptions import StorageError, UpdateError
 from repro.index import atomic as atomic_module
 from repro.index.compaction import LiveIndexManager
 from repro.index.corpus import build_corpus_index
@@ -143,9 +143,23 @@ class TestOpenAndRecovery:
         payload["generation"] = 0
         with open(path + ".live.json", "w", encoding="utf-8") as out:
             json.dump(payload, out)
-        from repro.exceptions import StorageError
-
         with pytest.raises(StorageError):
+            LiveIndexManager(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        "[]",
+        "{}",
+        '{"generation": "x", "root": {"label": "bib"}}',
+        '{"generation": 0, "root": {"children": []}}',
+        "[" * 100_000,
+    ], ids=["list", "no-root", "generation-str", "no-label", "deep"])
+    def test_malformed_sidecar_rejected(self, snapshot, sidecar):
+        path, document = snapshot
+        with LiveIndexManager(path, document=document):
+            pass
+        with open(path + ".live.json", "w", encoding="utf-8") as out:
+            out.write(sidecar)
+        with pytest.raises(StorageError, match="malformed live source"):
             LiveIndexManager(path)
 
 

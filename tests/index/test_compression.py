@@ -1,11 +1,10 @@
-"""Tests for the varint/delta codec and binary index persistence."""
+"""Tests for the varint/delta codec and binary (v2) index persistence."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import StorageError
-from repro.index import storage
 from repro.index.compression import (
     decode_postings,
     encode_postings,
@@ -124,25 +123,19 @@ class TestBinaryIndex:
         )
 
     def test_roundtrip_equivalent_to_text_format(self, corpus):
+        # The v2 codec reproduces the source corpus it was written from.
         from_binary = loads_binary(dumps_binary(corpus))
-        from_text = storage.loads(storage.dumps(corpus))
-        assert from_binary.name == from_text.name
-        assert (
-            from_binary.path_node_counts == from_text.path_node_counts
-        )
+        assert from_binary.name == corpus.name
+        assert from_binary.path_node_counts == corpus.path_node_counts
         assert (
             from_binary.subtree_token_counts
-            == from_text.subtree_token_counts
+            == corpus.subtree_token_counts
         )
+        assert list(from_binary.path_table) == list(corpus.path_table)
         for token in corpus.inverted.tokens():
             assert list(from_binary.inverted.list_for(token)) == list(
-                from_text.inverted.list_for(token)
+                corpus.inverted.list_for(token)
             )
-
-    def test_smaller_than_text(self, corpus):
-        assert len(dumps_binary(corpus)) < len(
-            storage.dumps(corpus).encode()
-        )
 
     def test_file_roundtrip(self, corpus, tmp_path):
         path = str(tmp_path / "index.xcib")

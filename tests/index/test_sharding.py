@@ -134,6 +134,39 @@ class TestManifest:
         with pytest.raises(StorageError, match="sum"):
             load_manifest(str(tampered))
 
+    @pytest.mark.parametrize("tamper", [
+        lambda document: document.pop("totals"),
+        lambda document: document.update(shards=5),
+        lambda document: document.update(shards=[]),
+        lambda document: document.update(partition_depth="2"),
+        lambda document: document["shards"][0].update(path=7),
+        lambda document: document["totals"].update(postings=True),
+    ], ids=[
+        "no-totals", "shards-int", "no-shards", "depth-str", "path-int",
+        "postings-bool",
+    ])
+    def test_crc_valid_malformed_manifest_rejected(
+        self, manifest, tmp_path, tamper
+    ):
+        from repro.index.sharding import _payload_crc
+
+        path = os.path.join(manifest.directory, MANIFEST_NAME)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        tamper(document)
+        document.pop("crc")
+        document["crc"] = _payload_crc(document)  # re-signed
+        tampered = tmp_path / MANIFEST_NAME
+        tampered.write_text(json.dumps(document))
+        with pytest.raises(StorageError):
+            load_manifest(str(tampered))
+
+    def test_deeply_nested_manifest_rejected(self, tmp_path):
+        deep = tmp_path / MANIFEST_NAME
+        deep.write_text("[" * 100_000)
+        with pytest.raises(StorageError):
+            load_manifest(str(deep))
+
     def test_not_a_manifest_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format\": \"something-else\"}")

@@ -13,13 +13,13 @@ from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import build_corpus_index
 from repro.index.snapshot import (
     MAGIC,
+    _parse_table,
+    _write_sections,
     build_snapshot,
     load_snapshot,
-    snapshot_or_corpus,
     verify_snapshot,
 )
-from repro.index.storage import save_index
-from repro.index.storage_binary import save_index_binary
+from repro.index.storage_binary import load_index_binary, save_index_binary
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -141,7 +141,7 @@ class TestRoundTrip:
 
 
 class TestEngineParity:
-    """v1 -> v2 -> v3 must agree suggestion-for-suggestion."""
+    """In-memory, v2 and v3 must agree suggestion-for-suggestion."""
 
     QUERIES = ("confernce", "xml daabases", "keyword serach")
 
@@ -153,13 +153,8 @@ class TestEngineParity:
         ]
 
     def test_all_formats_identical_topk(self, corpus, tmp_path):
-        from repro.index.storage import load_index
-        from repro.index.storage_binary import load_index_binary
-
-        v1 = str(tmp_path / "index.xci")
         v2 = str(tmp_path / "index.xcib")
         v3 = str(tmp_path / "index.xcs3")
-        save_index(corpus, v1)
         save_index_binary(corpus, v2)
         build_snapshot(corpus, v3)
         config = XCleanConfig(max_errors=2)
@@ -167,7 +162,6 @@ class TestEngineParity:
             XCleanSuggester(source, config=config)
             for source in (
                 corpus,
-                load_index(v1),
                 load_index_binary(v2),
                 load_snapshot(v3),
             )
@@ -247,6 +241,48 @@ class TestCorruption:
         with pytest.raises(StorageError, match="checksum"):
             load_snapshot(str(path))
 
+    def test_meta_bit_flips_raise_storage_error(
+        self, tmp_path, snapshot_path
+    ):
+        # The fast load materializes meta, so it checks meta's CRC: no
+        # flipped bit may surface as a KeyError (e.g. a renamed key).
+        raw = open(snapshot_path, "rb").read()
+        offset, length, _crc = _parse_table(raw)["meta"]
+        path = tmp_path / "meta.xcs3"
+        for position in range(offset, offset + length):
+            for bit in (0, 5):
+                mutant = bytearray(raw)
+                mutant[position] ^= 1 << bit
+                path.write_bytes(mutant)
+                with pytest.raises(StorageError):
+                    load_snapshot(str(path))
+
+    def test_paths_blob_flip_raises_storage_error(
+        self, tmp_path, snapshot_path
+    ):
+        raw = bytearray(open(snapshot_path, "rb").read())
+        offset, _length, _crc = _parse_table(raw)["paths_blob"]
+        raw[offset] ^= 0x80  # not UTF-8 any more
+        path = tmp_path / "paths.xcs3"
+        path.write_bytes(raw)
+        with pytest.raises(StorageError, match="paths_blob"):
+            load_snapshot(str(path))
+
+    @pytest.mark.parametrize("meta", [
+        b"1", b"[]", b"{}", b'{"name": "x"}', b"[" * 100_000,
+    ], ids=["int", "list", "empty", "partial", "deep"])
+    def test_crc_valid_malformed_meta(self, tmp_path, snapshot_path, meta):
+        raw = open(snapshot_path, "rb").read()
+        sections = [
+            (name, meta if name == "meta" else raw[start:start + size])
+            for name, (start, size, _crc) in _parse_table(raw).items()
+        ]
+        path = str(tmp_path / "malformed.xcs3")
+        _write_sections(path, sections)  # fresh, valid CRCs
+        verify_snapshot(path)
+        with pytest.raises(StorageError, match="malformed"):
+            load_snapshot(path)
+
     def test_corrupt_payload_caught_by_verify(
         self, tmp_path, snapshot_path
     ):
@@ -286,23 +322,6 @@ class TestMmapBehavior:
 
 
 class TestDispatch:
-    def test_snapshot_or_corpus_sniffs_all_formats(
-        self, corpus, tmp_path
-    ):
-        v1 = str(tmp_path / "a.xci")
-        v2 = str(tmp_path / "a.xcib")
-        v3 = str(tmp_path / "a.xcs3")
-        save_index(corpus, v1)
-        save_index_binary(corpus, v2)
-        build_snapshot(corpus, v3)
-        for path in (v1, v2, v3):
-            loaded = snapshot_or_corpus(path)
-            assert loaded.name == "paper-example"
-            assert (
-                loaded.inverted.total_postings()
-                == corpus.inverted.total_postings()
-            )
-
     def test_load_timed_under_index_load_stage(self, snapshot_path):
         from repro.obs import INDEX_LOAD_STAGE, MetricsRegistry
 

@@ -1,10 +1,14 @@
-"""Round-trip and error tests for index persistence."""
+"""Round-trip of an index through its on-disk (v3 snapshot) form.
+
+The field-by-field checks (name, postings, path table, subtree counts,
+path statistics, path index, vocabulary) live in
+``tests/index/test_snapshot.py::TestRoundTrip``.
+"""
 
 import pytest
 
-from repro.exceptions import StorageError
-from repro.index import storage
 from repro.index.corpus import build_corpus_index
+from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -17,71 +21,10 @@ def corpus():
 
 
 class TestRoundTrip:
-    def test_name_preserved(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        assert loaded.name == "paper-example"
-
-    def test_postings_identical(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        for token in corpus.inverted.tokens():
-            assert list(loaded.inverted.list_for(token)) == list(
-                corpus.inverted.list_for(token)
-            )
-
-    def test_path_table_identical(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        assert list(loaded.path_table) == list(corpus.path_table)
-
-    def test_subtree_counts_identical(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        assert loaded.subtree_token_counts == corpus.subtree_token_counts
-
-    def test_path_node_counts_identical(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        assert loaded.path_node_counts == corpus.path_node_counts
-
-    def test_path_index_rebuilt(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        for token in corpus.path_index.tokens():
-            assert dict(loaded.path_index.counts_for(token)) == dict(
-                corpus.path_index.counts_for(token)
-            )
-
-    def test_vocabulary_statistics(self, corpus):
-        loaded = storage.loads(storage.dumps(corpus))
-        vocab, loaded_vocab = corpus.vocabulary, loaded.vocabulary
-        assert loaded_vocab.total_tokens == vocab.total_tokens
-        for token in vocab:
-            assert loaded_vocab.max_tfidf(token) == pytest.approx(
-                vocab.max_tfidf(token)
-            )
-
     def test_file_roundtrip(self, corpus, tmp_path):
-        path = str(tmp_path / "index.xci")
-        storage.save_index(corpus, path)
-        loaded = storage.load_index(path)
-        assert loaded.describe() == corpus.describe()
-
-
-class TestErrors:
-    def test_wrong_magic(self):
-        with pytest.raises(StorageError):
-            storage.loads("NOTANINDEX 1\n")
-
-    def test_wrong_version(self):
-        with pytest.raises(StorageError):
-            storage.loads("XCLEANIDX 99\n")
-
-    def test_truncated(self, corpus):
-        text = storage.dumps(corpus)
-        with pytest.raises(StorageError):
-            storage.loads(text[: len(text) // 2])
-
-    def test_missing_end(self, corpus):
-        text = storage.dumps(corpus)
-        with pytest.raises(StorageError):
-            storage.loads(text.replace("END\n", "NOPE\n"))
-
-    def test_empty_input(self):
-        with pytest.raises(StorageError):
-            storage.loads("")
+        path = str(tmp_path / "index.xcs3")
+        build_snapshot(corpus, path)
+        loaded = load_snapshot(path).describe()
+        expected = corpus.describe()
+        del expected["approx_bytes"]  # in-memory sizes, not persisted
+        assert {key: loaded[key] for key in expected} == expected

@@ -1,8 +1,8 @@
-"""Round-trip of the precomputed Eq. 8 normalizers (storage v2)."""
+"""Round-trip of the precomputed Eq. 8 normalizers (v2 binary codec)."""
 
 import pytest
 
-from repro.index import storage, storage_binary
+from repro.index import storage_binary
 from repro.index.corpus import build_corpus_index
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
@@ -11,38 +11,6 @@ from repro.xmltree.document import XMLDocument
 @pytest.fixture(scope="module")
 def index():
     return build_corpus_index(XMLDocument(paper_example_tree()))
-
-
-class TestTextFormat:
-    def test_totals_round_trip(self, index):
-        loaded = storage.loads(storage.dumps(index))
-        assert loaded.path_token_totals() == index.path_token_totals()
-        assert loaded.max_path_depth() == index.max_path_depth()
-
-    def test_loaded_totals_are_precomputed(self, index):
-        loaded = storage.loads(storage.dumps(index))
-        # The map arrives from the file, not a post-load derivation.
-        assert loaded.path_token_totals_map is not None
-        assert loaded.path_token_totals() is loaded.path_token_totals_map
-
-    def test_version_1_files_still_load(self, index):
-        text = storage.dumps(index)
-        lines = text.splitlines()
-        assert lines[0] == f"{storage.MAGIC} {storage.VERSION}"
-        # Strip the TOTALS section and downgrade the header.
-        start = next(
-            i for i, line in enumerate(lines) if line.startswith("TOTALS")
-        )
-        count = int(lines[start].split()[1])
-        legacy = (
-            [f"{storage.MAGIC} 1"]
-            + lines[1:start]
-            + lines[start + 1 + count:]
-        )
-        loaded = storage.loads("\n".join(legacy) + "\n")
-        # Totals are derived on the fly and match the precomputed ones.
-        assert loaded.path_token_totals() == index.path_token_totals()
-        assert loaded.max_path_depth() == index.max_path_depth()
 
 
 class TestBinaryFormat:
@@ -54,14 +22,11 @@ class TestBinaryFormat:
         assert loaded.max_path_depth() == index.max_path_depth()
 
     def test_formats_agree(self, index):
-        from_text = storage.loads(storage.dumps(index))
-        from_binary = storage_binary.loads_binary(
+        # The loaded totals arrive from the file, not a post-load
+        # derivation, and agree with the source corpus's.
+        loaded = storage_binary.loads_binary(
             storage_binary.dumps_binary(index)
         )
-        assert (
-            from_text.path_token_totals()
-            == from_binary.path_token_totals()
-        )
-        assert (
-            from_text.max_path_depth() == from_binary.max_path_depth()
-        )
+        assert loaded.path_token_totals() is loaded.path_token_totals_map
+        assert loaded.path_token_totals_map == index.path_token_totals()
+        assert loaded.max_path_depth() == index.max_path_depth()

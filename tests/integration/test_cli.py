@@ -6,7 +6,11 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.index.corpus import build_corpus_index
+from repro.index.storage_binary import save_index_binary
 from repro.obs.export import validate_chrome_trace
+from repro.xmltree.builder import paper_example_tree
+from repro.xmltree.document import XMLDocument
 
 
 class TestParser:
@@ -25,7 +29,7 @@ class TestParser:
 class TestPipeline:
     def test_generate_index_suggest(self, tmp_path, capsys):
         xml_path = str(tmp_path / "corpus.xml")
-        index_path = str(tmp_path / "corpus.xci")
+        index_path = str(tmp_path / "corpus.xcs3")
 
         assert main(
             [
@@ -59,27 +63,66 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert out.strip()
 
-    def test_binary_index_pipeline(self, tmp_path, capsys):
-        xml_path = str(tmp_path / "c.xml")
-        index_path = str(tmp_path / "c.xcib")
+    def test_default_index_is_a_live_updatable_snapshot(
+        self, tmp_path, capsys
+    ):
+        # verify, update and compact accept only v3 snapshots, so the
+        # plain `xclean index` output must be one.
+        xml_path = str(tmp_path / "u.xml")
+        index_path = str(tmp_path / "u.xcs3")
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps([{
+            "op": "add", "dewey": [1], "subtree": {
+                "label": "article", "children": [
+                    {"label": "title", "text": "zanzibar consistency"}
+                ],
+            },
+        }]))
+        main(["generate", "--dataset", "dblp", "--out", xml_path,
+              "--size", "40"])
+        assert main(["index", "--xml", xml_path, "--out", index_path]) == 0
+        assert main(["verify", "--index", index_path]) == 0
         assert main(
-            ["generate", "--dataset", "dblp", "--out", xml_path,
-             "--size", "60"]
-        ) == 0
-        assert main(
-            ["index", "--xml", xml_path, "--out", index_path,
-             "--format", "binary"]
+            ["update", "--index", index_path, "--ops", str(ops_path),
+             "--source", xml_path, "--compact"]
         ) == 0
         capsys.readouterr()
         assert main(
-            ["suggest", "--index", index_path, "--query", "datt",
-             "-k", "2"]
+            ["suggest", "--index", index_path, "--query", "zanziber",
+             "-k", "1"]
         ) == 0
-        assert capsys.readouterr().out.strip()
+        assert "zanzibar" in capsys.readouterr().out
+
+    def test_index_has_no_format_option(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["index", "--xml", "x.xml", "--out", "x", "--format", "v3"]
+            )
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_older_format_index_is_an_error(
+        self, tmp_path, capsys, version
+    ):
+        # v1 text and v2 binary files are not snapshots: a one-line
+        # error and exit 1, no traceback.
+        path = str(tmp_path / f"old.{version}")
+        if version == "v1":  # the v1 text header; its codec is gone
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("XCLEANIDX 2\nNAME old\n")
+        else:
+            save_index_binary(build_corpus_index(
+                XMLDocument(paper_example_tree(), name="old")
+            ), path)
+        code = main(["suggest", "--index", path, "--query", "tree"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot" in err
+        assert "Traceback" not in err
 
     def test_semantics_options(self, tmp_path, capsys):
         xml_path = str(tmp_path / "s.xml")
-        index_path = str(tmp_path / "s.xci")
+        index_path = str(tmp_path / "s.xcs3")
         main(["generate", "--dataset", "dblp", "--out", xml_path,
               "--size", "60"])
         main(["index", "--xml", xml_path, "--out", index_path])
@@ -100,8 +143,7 @@ class TestPipeline:
         index_path = str(tmp_path / "p.xcs3")
         main(["generate", "--dataset", "dblp", "--out", xml_path,
               "--size", "60"])
-        main(["index", "--xml", xml_path, "--out", index_path,
-              "--format", "v3"])
+        main(["index", "--xml", xml_path, "--out", index_path])
         capsys.readouterr()
         runs = [
             ["suggest", "--query", "ricardo brunoo", "--semantics", s]
@@ -126,7 +168,7 @@ class TestPipeline:
             [
                 "suggest",
                 "--index",
-                str(tmp_path / "missing.xci"),
+                str(tmp_path / "missing.xcs3"),
                 "--query",
                 "tree",
             ]
@@ -135,7 +177,7 @@ class TestPipeline:
         assert "error" in capsys.readouterr().err
 
     def test_corrupt_index_reports_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.xci"
+        bad = tmp_path / "bad.xcs3"
         bad.write_text("not an index\n")
         code = main(
             ["suggest", "--index", str(bad), "--query", "tree"]
@@ -156,7 +198,7 @@ class TestPipeline:
 def built_index(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_obs")
     xml_path = str(root / "corpus.xml")
-    index_path = str(root / "corpus.xci")
+    index_path = str(root / "corpus.xcs3")
     assert main(
         ["generate", "--dataset", "dblp", "--out", xml_path,
          "--size", "80"]
@@ -269,7 +311,7 @@ class TestBatchCommand:
 class TestSearchCommand:
     def test_search_pipeline(self, tmp_path, capsys):
         xml_path = str(tmp_path / "q.xml")
-        index_path = str(tmp_path / "q.xci")
+        index_path = str(tmp_path / "q.xcs3")
         main(["generate", "--dataset", "dblp", "--out", xml_path,
               "--size", "80"])
         main(["index", "--xml", xml_path, "--out", index_path])
@@ -283,7 +325,7 @@ class TestSearchCommand:
 
     def test_search_without_snippets(self, tmp_path, capsys):
         xml_path = str(tmp_path / "r.xml")
-        index_path = str(tmp_path / "r.xci")
+        index_path = str(tmp_path / "r.xcs3")
         main(["generate", "--dataset", "dblp", "--out", xml_path,
               "--size", "80"])
         main(["index", "--xml", xml_path, "--out", index_path])

@@ -10,7 +10,7 @@ from repro.eval.experiments import (
     wiki_setting,
 )
 from repro.eval.runner import evaluate_suggester
-from repro.index import storage
+from repro.index.snapshot import build_snapshot, load_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +119,9 @@ class TestAlgorithmEquivalenceOnRealData:
 
 class TestIndexPersistenceIntegration:
     def test_loaded_index_gives_identical_suggestions(self, dblp, tmp_path):
-        path = str(tmp_path / "dblp.xci")
-        storage.save_index(dblp.corpus, path)
-        loaded = storage.load_index(path)
+        path = str(tmp_path / "dblp.xcs3")
+        build_snapshot(dblp.corpus, path)
+        loaded = load_snapshot(path)
         from repro.core.cleaner import XCleanSuggester
 
         original = dblp.xclean(gamma=None)

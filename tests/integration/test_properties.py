@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
-from repro.index import storage
+from repro.index import storage_binary
 from repro.index.corpus import build_corpus_index
 from repro.xmltree.builder import build_tree
 from repro.xmltree.document import XMLDocument
@@ -64,7 +64,9 @@ class TestStorageRoundTripProperty:
     @given(random_document())
     def test_index_roundtrip(self, document):
         corpus = build_corpus_index(document)
-        loaded = storage.loads(storage.dumps(corpus))
+        loaded = storage_binary.loads_binary(
+            storage_binary.dumps_binary(corpus)
+        )
         assert loaded.path_node_counts == corpus.path_node_counts
         assert loaded.subtree_token_counts == corpus.subtree_token_counts
         for token in corpus.inverted.tokens():

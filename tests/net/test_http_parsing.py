@@ -43,6 +43,7 @@ class TestRequestLine:
         "BREW /x HTTP/1.1",            # unknown method
         "GET /x HTTP/2.0",             # unsupported version
         "",                            # empty request line
+        "GET //[x HTTP/1.1",           # urlsplit: invalid IPv6 netloc
     ])
     def test_malformed_request_lines(self, line):
         with pytest.raises(BadRequest) as excinfo:
@@ -122,7 +123,9 @@ class TestBody:
             request.content_length(100)
         assert excinfo.value.status == 413
 
-    @pytest.mark.parametrize("raw", ["-1", "abc", "1.5"])
+    @pytest.mark.parametrize(
+        "raw", ["-1", "abc", "1.5", "1_5", "+15", "\u0661\u0665"]
+    )
     def test_malformed_length_is_400(self, raw):
         request = self.make(**{"content-length": raw})
         with pytest.raises(BadRequest) as excinfo:
@@ -142,6 +145,9 @@ class TestBody:
 
     @pytest.mark.parametrize("body", [
         b"not json", b'"a string"', b"[1,2]", b"\xff\xfe",
+        # RecursionError inside json.loads; past the int digit limit
+        pytest.param(b"[" * 60_000, id="deep"),
+        pytest.param(b"1" * 5_000, id="long-int"),
     ])
     def test_bad_json_bodies(self, body):
         request = self.make()

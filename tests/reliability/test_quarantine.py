@@ -76,12 +76,13 @@ class TestLoadResilient:
         self, corpus, tmp_path
     ):
         bad = str(tmp_path / "index.xcs3")
-        build_snapshot(corpus, bad)
+        build_snapshot(corpus, bad, generation=1)
         _corrupt_table(bad)
-        fallback = str(tmp_path / "index.xcib")
-        save_index_binary(corpus, fallback)
+        fallback = str(tmp_path / "index-older.xcs3")
+        build_snapshot(corpus, fallback)
         loaded = load_resilient(bad, fallback_path=fallback)
-        assert loaded.name == corpus.name
+        assert loaded.snapshot_path == fallback
+        assert loaded.data_generation == 0
         assert not os.path.exists(bad)
         assert os.path.exists(bad + QUARANTINE_SUFFIX)
 
@@ -115,8 +116,8 @@ class TestLoadResilient:
             handle.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(StorageError):
             load_resilient(path)
-        # The v1/v2 tiers are the fallback artifact, not the managed
-        # one: the file stays put for manual inspection.
+        # Only files with the snapshot magic are the managed artifact;
+        # anything else stays put for manual inspection.
         assert os.path.exists(path)
         assert not os.path.exists(path + QUARANTINE_SUFFIX)
 
