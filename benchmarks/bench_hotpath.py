@@ -144,10 +144,10 @@ def bench_single(setting, queries):
 
 
 def _stage_totals(registry):
-    """Cumulative seconds per stage from a registry's stage states."""
+    """Cumulative seconds per stage from a registry snapshot."""
     return {
-        stage: state[1]
-        for stage, state in registry.stage_states().items()
+        stage: summary["sum"]
+        for stage, summary in registry.snapshot().as_dict()["stages"].items()
     }
 
 

@@ -53,10 +53,10 @@ from repro.index.storage_binary import (
     save_index_binary,
 )
 from repro.index.wal import WalRecord
-from repro.obs import INDEX_LOAD_STAGE, MetricsRegistry, faults
+from repro.obs import INDEX_LOAD_STAGE, Context, MetricsRegistry, faults
 from repro.obs.logging import NULL_REQUEST_LOG, RequestLog
 from repro.obs.slo import NULL_SLO, SLOTracker
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 from repro.xmltree.node import XMLNode
 
 #: Alternating timed passes per configuration (best-of wins).
@@ -124,16 +124,16 @@ def bench_trace_overhead(setting, queries):
     """Hot-path cost of the tracing hooks.
 
     Three configurations, timed with alternating passes: a plain
-    suggester (the implicit ``NULL_TRACER`` default), one carrying an
-    explicit ``NULL_TRACER`` (the disabled path every instrumented
-    call site pays), and one with a live ``Tracer`` building a full
-    span tree per query.  The disabled ratio must stay inside the
-    instrumentation ceiling; the enabled ratio is recorded for the
-    artifact but not asserted — span capture is opt-in and priced
-    separately.
+    suggester (no tracer, the default), one built with an explicit
+    ``tracer=None`` (tracing off: every query runs on an untraced
+    context, the path every instrumented stage pays), and one with a
+    live ``Tracer`` rooting a fresh span stack per query.  The
+    disabled ratio must stay inside the instrumentation ceiling; the
+    enabled ratio is recorded for the artifact but not asserted — span
+    capture is opt-in and priced separately.
     """
     plain = make_suggester(setting)
-    disabled = make_suggester(setting, tracer=NULL_TRACER)
+    disabled = make_suggester(setting, tracer=None)
     traced = make_suggester(setting, tracer=Tracer())
     for suggester in (plain, disabled, traced):
         for query in queries:  # warm variant/merged/type caches
@@ -350,7 +350,7 @@ def bench_index_load(setting):
             str(snapshot_path),
             generator=setting.generator,
         )
-        with registry.stage(INDEX_LOAD_STAGE):
+        with Context(registry).stage(INDEX_LOAD_STAGE):
             load_index_binary(str(binary_path))
         binary_s = registry.snapshot().as_dict()["stages"][
             INDEX_LOAD_STAGE
@@ -451,7 +451,7 @@ def test_serving(benchmark):
             )
             for name, key in (
                 ("no tracer (default)", "plain_best_s"),
-                ("NULL_TRACER explicit", "disabled_best_s"),
+                ("tracer=None explicit", "disabled_best_s"),
                 ("live Tracer", "enabled_best_s"),
             )
         ],

@@ -43,8 +43,9 @@ from repro.datasets.synthetic_wiki import WikiConfig, generate_wiki
 from repro.eval.experiments import dblp_setting, wiki_setting
 from repro.eval.reporting import format_table
 from repro.eval.runner import evaluate_suggester
-from repro.exceptions import Overloaded, ReproError
+from repro.exceptions import ConfigurationError, Overloaded, ReproError
 from repro.index.corpus import build_corpus_index
+from repro.index.sharding import is_manifest, resolve_manifest_path
 from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.obs import MetricsRegistry
 from repro.obs import faults
@@ -571,8 +572,6 @@ def _open_service(args, registry, config, **kwargs):
     :class:`SuggestionService`.
     Both expose the same serving surface, so callers don't branch.
     """
-    from repro.index.sharding import is_manifest, resolve_manifest_path
-
     if is_manifest(args.index):
         from repro.core.shards import ShardedSuggestionService
 
@@ -585,27 +584,43 @@ def _open_service(args, registry, config, **kwargs):
             metrics=registry,
             **kwargs,
         )
-    corpus = load_snapshot(args.index, metrics=registry)
     return SuggestionService(
-        corpus, config=config, metrics=registry, **kwargs
+        _load_corpus(args, registry), config=config, metrics=registry,
+        **kwargs,
     )
 
 
+def _load_corpus(args, registry=None):
+    """The one snapshot behind ``--index``, for commands that need one.
+
+    ``explain``, ``trace``, ``search``, ``chaos`` and the SLCA/ELCA
+    suggesters run over a single corpus, so a shard manifest is
+    refused with a one-line error instead of failing on the directory.
+    """
+    if is_manifest(args.index):
+        raise ConfigurationError(
+            f"{args.command} needs a single snapshot, but "
+            f"{args.index!r} is a shard manifest"
+        )
+    return load_snapshot(args.index, metrics=registry)
+
+
 def _cmd_suggest(args: argparse.Namespace) -> int:
-    corpus = load_snapshot(args.index)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
         gamma=args.gamma,
         prior=args.prior,
     )
-    if args.semantics == "slca":
-        suggester = SLCACleanSuggester(corpus, config=config)
-    elif args.semantics == "elca":
-        suggester = ELCACleanSuggester(corpus, config=config)
+    if args.semantics == "node-type":
+        with _open_service(args, None, config) as service:
+            suggestions = service.suggest(args.query, args.k)
     else:
-        suggester = XCleanSuggester(corpus, config=config)
-    suggestions = suggester.suggest(args.query, args.k)
+        entity_semantics = {
+            "slca": SLCACleanSuggester, "elca": ELCACleanSuggester,
+        }[args.semantics]
+        suggester = entity_semantics(_load_corpus(args), config=config)
+        suggestions = suggester.suggest(args.query, args.k)
     if not suggestions:
         print("(no suggestions)")
         return 0
@@ -618,7 +633,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    corpus = load_snapshot(args.index)
+    corpus = _load_corpus(args)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
@@ -637,7 +652,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    corpus = load_snapshot(args.index)
+    corpus = _load_corpus(args)
     config = XCleanConfig(
         max_errors=args.max_errors,
         beta=args.beta,
@@ -778,16 +793,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             live.apply(ops)
             if args.compact:
                 live.compact()
-    corpus = load_snapshot(args.index, metrics=registry)
     queries = _read_queries(args.queries)
-    with SuggestionService(
-        corpus,
-        config=XCleanConfig(
+    with _open_service(
+        args,
+        registry,
+        XCleanConfig(
             max_errors=args.max_errors,
             beta=args.beta,
             gamma=args.gamma,
         ),
-        metrics=registry,
     ) as service:
         service.suggest_batch(queries, args.k, workers=args.workers)
         snapshot = service.metrics()
@@ -799,7 +813,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    corpus = load_snapshot(args.index)
+    corpus = _load_corpus(args)
     engine = EntitySearch(corpus)
     results = engine.search(args.query, args.k)
     if not results:
@@ -858,7 +872,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
-    corpus = load_snapshot(args.index, metrics=registry)
+    corpus = _load_corpus(args, registry)
     queries = _read_queries(args.queries)
     if not queries:
         print("(no queries)")
@@ -1025,11 +1039,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.index.sharding import (
-        is_manifest,
-        resolve_manifest_path,
-        verify_sharded,
-    )
+    from repro.index.sharding import verify_sharded
 
     if is_manifest(args.index):
         reports = verify_sharded(resolve_manifest_path(args.index))

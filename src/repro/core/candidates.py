@@ -46,17 +46,19 @@ class CandidateSpace:
         generator: VariantGenerator,
         error_model: ErrorModel,
         max_errors: int | None = None,
-        tracer=None,
+        ctx=None,
     ):
+        """``ctx`` (a ``repro.obs.context.Context``), when given, times
+        each keyword's var_ε(q) as a ``variant`` stage."""
         self.keywords = tuple(keywords)
         self.per_keyword: list[KeywordVariants] = []
         for keyword in self.keywords:
-            if tracer is None:
+            if ctx is None:
                 variants = generator.variants(keyword, max_errors)
             else:
-                with tracer.span("variant", keyword=keyword):
+                with ctx.stage("variant", keyword=keyword):
                     variants = generator.variants(keyword, max_errors)
-                    tracer.annotate(variants=len(variants))
+                    ctx.annotate(variants=len(variants))
             weights = error_model.variant_weights(keyword, variants)
             self.per_keyword.append(
                 KeywordVariants(keyword, tuple(variants), weights)

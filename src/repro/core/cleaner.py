@@ -56,17 +56,17 @@ from repro.index.merge_kernel import (
     scan_left,
 )
 from repro.index.merged_list import PackedEntry, PackedMergedList
+from repro.obs.context import Context
 from repro.obs.explain import (
     EntityContribution,
     GroupContribution,
-    PruningObserver,
     ScoreRecorder,
     TermFactor,
     build_explanation,
 )
 from repro.obs.faults import active as _active_faults
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Span
+from repro.obs.trace import Tracer
 from repro.xmltree.dewey import format_code
 
 
@@ -83,7 +83,7 @@ class XCleanSuggester:
         error_model: ErrorModel | None = None,
         config: XCleanConfig | None = None,
         metrics=None,
-        tracer=None,
+        tracer: Tracer | None = None,
     ):
         self.corpus = corpus
         self.config = config or XCleanConfig()
@@ -119,15 +119,11 @@ class XCleanSuggester:
         #: Observability hooks; NULL_METRICS (no-op, near-zero cost)
         #: unless a serving layer hands in a live registry.
         self.metrics = metrics or NULL_METRICS
-        #: Per-query span tracer; NULL_TRACER (no-op) by default.
-        self.tracer = tracer or NULL_TRACER
-        #: Score-provenance recorder, attached only for the duration
-        #: of a ``suggest_explained`` call; the hot path pays one
-        #: ``is None`` check per scored candidate.
-        self._recorder: ScoreRecorder | None = None
-        #: Scoring time of the current query, summed over the many
-        #: per-group scoring calls and observed once per query.
-        self._score_seconds = 0.0
+        #: Tracing switch for direct API use: with a tracer, a query
+        #: called without a context roots its own ``suggest`` trace
+        #: and publishes it as ``tracer.last_trace``.  Services pass
+        #: each query its request's context instead.
+        self.tracer = tracer
         #: Wall-clock budget of the query in flight (``core/deadline``);
         #: ``None`` unless ``config.deadline_seconds`` is set, in which
         #: case ``_run`` arms a fresh one per query.
@@ -137,25 +133,28 @@ class XCleanSuggester:
             ResultTypeConfig(
                 reduction=self.config.reduction,
                 min_depth=self.config.min_depth,
-                cache_size=self.config.type_cache_size,
             ),
-            metrics=self.metrics,
         )
-        self.type_finder.tracer = self.tracer
         self.last_stats = CleaningStats()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def suggest(self, query: str, k: int = 10) -> list[Suggestion]:
+    def suggest(
+        self, query: str, k: int = 10, ctx: Context | None = None
+    ) -> list[Suggestion]:
         """Top-k alternative queries for ``query``, best first.
+
+        ``ctx`` is the serving request's instrumentation context (see
+        ``repro.obs.context``); without one the suggester builds its
+        own from its registry and tracer.
 
         Raises:
             QueryError: when the query has no usable keywords after
                 tokenization.
         """
-        pool = self._run(query)
+        pool = self._run(query, ctx)
         table = self.corpus.path_table
         return [
             Suggestion(
@@ -170,7 +169,7 @@ class XCleanSuggester:
         """Scores of all surviving candidates (oracle-equivalence tests)."""
         return self._run(query).final_scores()
 
-    def partial_rows(self, query: str):
+    def partial_rows(self, query: str, ctx: Context | None = None):
         """The full γ-bounded accumulator table, serialized for gather.
 
         Runs the same Algorithm 1 pass as :meth:`suggest` but returns
@@ -188,7 +187,7 @@ class XCleanSuggester:
         ``result_type`` travels as the path *string* so the gather side
         needs no shard-local path table.
         """
-        pool = self._run(query)
+        pool = self._run(query, ctx)
         table = self.corpus.path_table
         rows = tuple(
             (
@@ -213,38 +212,31 @@ class XCleanSuggester:
         engine's score bit for bit from the logged Eq. 4–9 factors.
         """
         recorder = ScoreRecorder()
-        self._recorder = recorder
-        try:
-            pool = self._run(query)
-        finally:
-            self._recorder = None
+        pool = self._run(query, recorder=recorder)
         return build_explanation(query, self, recorder, pool, k)
-
-    def bind_tracer(self, tracer) -> None:
-        """Swap the tracer (serving layer / pool workers)."""
-        self.tracer = tracer or NULL_TRACER
-        self.type_finder.tracer = self.tracer
 
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
 
-    def _run(self, query: str) -> AccumulatorPool:
-        tracer = self.tracer
-        if tracer.enabled and tracer.current() is None:
-            # No service owns a trace for this query: the suggester
-            # roots its own (in-process / direct API use).
-            tracer.begin("suggest", query=query)
-            try:
-                return self._run_inner(query)
-            finally:
-                tracer.end()
-        return self._run_inner(query)
+    def _run(
+        self,
+        query: str,
+        ctx: Context | None = None,
+        recorder: ScoreRecorder | None = None,
+    ) -> AccumulatorPool:
+        if ctx is not None:
+            return self._run_inner(query, ctx)
+        # No service owns this query: the suggester builds its own
+        # context (and roots its own trace when it has a tracer).
+        with Context.request(
+            self.metrics, self.tracer, "suggest", recorder=recorder,
+            query=query,
+        ) as ctx:
+            return self._run_inner(query, ctx)
 
-    def _run_inner(self, query: str) -> AccumulatorPool:
-        metrics = self.metrics
-        tracer = self.tracer
-        with metrics.stage("tokenize"), tracer.span("tokenize"):
+    def _run_inner(self, query: str, ctx: Context) -> AccumulatorPool:
+        with ctx.stage("tokenize"):
             keywords = self.corpus.tokenizer.tokenize(query)
         if not keywords:
             raise QueryError(f"query {query!r} has no usable keywords")
@@ -265,68 +257,51 @@ class XCleanSuggester:
         type_finder = self.type_finder
         type_hits = type_finder.cache_hits
         type_misses = type_finder.cache_misses
-        with metrics.stage("variant_gen"), tracer.span("variant_gen"):
+        with ctx.stage("variant_gen"):
             space = CandidateSpace(
                 keywords, self.generator, self.error_model,
-                self.config.max_errors,
-                tracer=tracer if tracer.enabled else None,
+                self.config.max_errors, ctx,
             )
-            if tracer.enabled:
-                tracer.annotate(space_size=space.space_size())
+            ctx.annotate(space_size=space.space_size())
         stats = CleaningStats(
-            keywords=len(keywords), space_size=space.space_size()
+            keywords=len(keywords), space_size=space.space_size(),
+            trace_id=ctx.trace_id,
         )
-        if tracer.enabled:
-            stats.trace_id = tracer.trace_id
         self.last_stats = stats
-        recorder = self._recorder
+        recorder = ctx.recorder
         if recorder is not None:
             recorder.space = space
-        if recorder is not None or tracer.enabled:
-            observer = PruningObserver(
-                recorder, tracer if tracer.enabled else None
-            )
-        else:
-            observer = None
-        pool = AccumulatorPool(self.config.gamma, observer=observer)
-        self._score_seconds = 0.0
+        pool = AccumulatorPool(
+            self.config.gamma,
+            observer=(
+                ctx if recorder is not None or ctx.trace is not None
+                else None
+            ),
+        )
         if space.is_viable:
             # The merge stage covers the whole Algorithm 1 loop, entity
-            # scoring included; "score" reports the scoring share.
-            with metrics.stage("merge"), tracer.span("merge") as span:
+            # scoring included.  Scoring runs inside the loop in many
+            # small bursts; the aggregated "score" stage sums them into
+            # one observation and one child span of "merge".
+            with ctx.stage("merge"):
                 merged = [
                     self.corpus.merged_list_packed(space.variant_tokens(i))
                     for i in range(len(keywords))
                 ]
-                self._merge_loop_kernel(merged, space, pool, stats)
-                if tracer.enabled:
-                    tracer.annotate(
-                        groups=stats.groups_processed,
-                        candidates=stats.candidates_evaluated,
-                        entities=stats.entities_scored,
+                with ctx.stage("score", aggregated=True) as score:
+                    self._merge_loop_kernel(
+                        merged, space, pool, stats, ctx, score
                     )
-                    if self._score_seconds:
-                        # Scoring runs inside the merge loop in many
-                        # small bursts; one aggregated child of "merge"
-                        # shows how much of the merge time it took.
-                        tracer.attach(
-                            Span(
-                                "score",
-                                start=(
-                                    span.start if span is not None
-                                    else None
-                                ),
-                                duration=self._score_seconds,
-                                attributes={"aggregated": True},
-                            )
-                        )
+                ctx.annotate(
+                    groups=stats.groups_processed,
+                    candidates=stats.candidates_evaluated,
+                    entities=stats.entities_scored,
+                )
             # postings_read/postings_skipped are set *inside* the merge
             # loop, atomically with the cursor write-back at loop exit
             # — re-summing here (after the stage timer closed) could
             # observe a half-consumed list on a deadline-expired
             # partial, inconsistent with groups_processed.
-            if metrics.enabled and self._score_seconds:
-                metrics.observe_stage("score", self._score_seconds)
         stats.accumulator_evictions = pool.evictions
         # Per-query deltas: on a long-lived service the finder's
         # counters (and cache) span many queries.
@@ -429,6 +404,8 @@ class XCleanSuggester:
         space: CandidateSpace,
         pool: AccumulatorPool,
         stats: CleaningStats,
+        ctx: Context,
+        score,
     ) -> None:
         """Algorithm 1 over the packed merged lists, as whole-group runs.
 
@@ -461,6 +438,9 @@ class XCleanSuggester:
         the plan so a replay — even one cut short by a deadline —
         reports exactly the postings a live run would have consumed up
         to the same group.
+
+        ``score`` is the query's aggregated score stage: each scored
+        group adds its burst to ``score.seconds``.
         """
         corpus = self.corpus
         view = corpus.packed_view()
@@ -493,7 +473,9 @@ class XCleanSuggester:
             if plan is not None:
                 stats.intersection_cache_hits += 1
                 self.metrics.inc("intersection_cache_hits_total")
-                self._replay_plan(plan, merged, space, pool, stats, view)
+                self._replay_plan(
+                    plan, merged, space, pool, stats, view, ctx, score
+                )
                 return
             stats.intersection_cache_misses += 1
             self.metrics.inc("intersection_cache_misses_total")
@@ -518,9 +500,7 @@ class XCleanSuggester:
             while True:
                 if deadline is not None and deadline.expired():
                     stats.partial = True
-                    self.tracer.event(
-                        "deadline_expired", stage="merge"
-                    )
+                    ctx.event("deadline_expired", stage="merge")
                     return
                 if faults_enabled:
                     faults.hit("merge.step")
@@ -586,7 +566,10 @@ class XCleanSuggester:
                     run_reads = [0] * num
                     run_skips = [0] * num
                 stats.groups_processed += 1
-                score_group(occurrences, space, pool, stats, view, group)
+                score_group(
+                    occurrences, space, pool, stats, view, group, ctx,
+                    score,
+                )
             if plan_key is not None and not stats.partial:
                 # Only cleanly exhausted intersections are cached; a
                 # deadline or fault exit leaves the loop via return or
@@ -621,6 +604,8 @@ class XCleanSuggester:
         pool: AccumulatorPool,
         stats: CleaningStats,
         view,
+        ctx: Context,
+        score,
     ) -> None:
         """Re-run a cached merge plan against the accumulator pool.
 
@@ -645,9 +630,7 @@ class XCleanSuggester:
             for run in plan.runs:
                 if deadline is not None and deadline.expired():
                     stats.partial = True
-                    self.tracer.event(
-                        "deadline_expired", stage="merge"
-                    )
+                    ctx.event("deadline_expired", stage="merge")
                     return
                 if faults_enabled:
                     faults.hit("merge.step")
@@ -661,7 +644,7 @@ class XCleanSuggester:
                 stats.groups_processed += 1
                 score_group(
                     list(run.occurrences), space, pool, stats, view,
-                    run.key,
+                    run.key, ctx, score,
                 )
             # Trailing entries past the last complete group (shallow
             # heads, partial groups, exhaustion tail).
@@ -689,6 +672,8 @@ class XCleanSuggester:
         stats: CleaningStats,
         view,
         group: int,
+        ctx: Context,
+        score,
     ) -> None:
         """Enumerate and score the group's candidates (Lines 12–15).
 
@@ -706,11 +691,13 @@ class XCleanSuggester:
         outright.  Valid under the uniform prior only (each Dirichlet
         term and each entity's tf-sum bound ≤ 1 per posting); the
         length prior weights entities by subtree size, so the bound
-        does not hold and pruning self-disables.
+        does not hold and pruning self-disables.  With an explain
+        recorder attached, each prune also logs the estimate the
+        unpruned path would have handed ``pool.add``.
         """
-        # Timed for the "score" stage histogram and the aggregated
-        # "score" span alike.
-        timed = self.metrics.enabled or self.tracer.enabled
+        # One burst of the aggregated "score" stage: timed only when
+        # the context records stage time at all.
+        timed = ctx.timed
         score_began = perf_counter() if timed else 0.0
         table = self.corpus.path_table
         packer = view.packer
@@ -742,7 +729,7 @@ class XCleanSuggester:
             return counts
 
         deadline = self._deadline
-        recorder = self._recorder
+        recorder = ctx.recorder
         kernel_pruning = (
             self.config.kernel_pruning
             and pool.capacity is not None
@@ -756,10 +743,10 @@ class XCleanSuggester:
                 # Accumulator boundary: stop scoring further candidates
                 # of this group; whatever was added already is valid.
                 stats.partial = True
-                self.tracer.event("deadline_expired", stage="score")
+                ctx.event("deadline_expired", stage="score")
                 break
             stats.candidates_evaluated += 1
-            pid = self.type_finder.find(candidate)
+            pid = self.type_finder.find(candidate, ctx)
             if pid is None:
                 continue
             if (
@@ -786,7 +773,12 @@ class XCleanSuggester:
                             stats.kernel_pruned += 1
                             if recorder is not None:
                                 recorder.kernel_pruned(
-                                    candidate, upper, floor
+                                    candidate, upper, floor,
+                                    self._unpruned_estimate(
+                                        candidate, pid, entity_counts,
+                                        error_weight_of(candidate),
+                                        subtree_lengths,
+                                    ),
                                 )
                             continue
             depth = table.depth_of(pid)
@@ -844,4 +836,36 @@ class XCleanSuggester:
                 )
             pool.add(candidate, mass, error_weight, normalizer, pid)
         if timed:
-            self._score_seconds += perf_counter() - score_began
+            score.seconds += perf_counter() - score_began
+
+    def _unpruned_estimate(
+        self, candidate, pid, entity_counts, error_weight, subtree_lengths
+    ) -> float:
+        """The estimate a kernel-pruned candidate would have reached.
+
+        Explain runs only: scores the pruned group the way the
+        unpruned path does (uniform prior — the only prior pruning
+        runs under) and returns ``error_weight × mass / normalizer``,
+        the incoming estimate ``pool.add`` would have compared against
+        the accumulator floor.  0.0 when no entity holds every keyword
+        (the unpruned path would not have called ``add`` at all).
+        """
+        depth = self.corpus.path_table.depth_of(pid)
+        per_keyword = [
+            entity_counts(position, token, pid, depth)
+            for position, token in enumerate(candidate)
+        ]
+        entities = set(per_keyword[0])
+        for counts in per_keyword[1:]:
+            entities &= counts.keys()
+        probability = self.language_model.probability
+        mass = 0.0
+        for root in sorted(entities):
+            length = subtree_lengths.get(root, 0)
+            product = 1.0
+            for position, token in enumerate(candidate):
+                product *= probability(
+                    token, per_keyword[position][root], length
+                )
+            mass += product
+        return error_weight * mass / float(self.corpus.entity_count(pid))

@@ -6,11 +6,7 @@ from dataclasses import dataclass
 
 from repro.core.error_model import DEFAULT_BETA
 from repro.core.language_model import DEFAULT_MU
-from repro.core.result_type import (
-    DEFAULT_MIN_DEPTH,
-    DEFAULT_REDUCTION,
-    DEFAULT_TYPE_CACHE_SIZE,
-)
+from repro.core.result_type import DEFAULT_MIN_DEPTH, DEFAULT_REDUCTION
 from repro.exceptions import ConfigurationError
 
 
@@ -35,8 +31,6 @@ class XCleanConfig:
             (the paper's 1/N) or ``"length"`` (∝ |D(r)|: longer
             entities are a priori likelier targets; the generalization
             the paper notes is "easily" available).
-        type_cache_size: LRU bound of the per-candidate result-type
-            cache (``ResultTypeFinder``); ``None`` removes the bound.
     """
 
     max_errors: int = 2
@@ -61,10 +55,6 @@ class XCleanConfig:
     #: log's working set of distinct variant-set combinations — a
     #: sequentially scanned LRU smaller than the working set hits 0%.
     intersection_cache_size: int | None = 256
-    #: LRU bound of the per-candidate result-type cache; ``None``
-    #: disables the bound (offline workloads only — a long-lived
-    #: service must keep it finite).
-    type_cache_size: int | None = DEFAULT_TYPE_CACHE_SIZE
     #: Per-query wall-clock budget (seconds) for the merge/score loop;
     #: on expiry the engine returns the best-so-far top-k with
     #: ``CleaningStats.partial = True`` instead of raising.  ``None``
@@ -79,22 +69,12 @@ class XCleanConfig:
     #: Seed for the fault plan's deterministic choices (corrupt-byte
     #: offsets); ignored when ``fault_plan`` is ``None``.
     fault_seed: int = 0
-    #: Override for the latency-histogram bucket bounds (seconds,
-    #: strictly increasing).  ``None`` uses
-    #: ``repro.obs.DEFAULT_LATENCY_BUCKETS``.  Carried in the config so
-    #: pool workers build their registries with the same layout as the
-    #: parent — a requirement for exact cross-process histogram merging.
-    latency_buckets: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.max_errors < 0:
             raise ConfigurationError("max_errors must be >= 0")
         if self.gamma is not None and self.gamma < 1:
             raise ConfigurationError("gamma must be >= 1 or None")
-        if self.type_cache_size is not None and self.type_cache_size < 1:
-            raise ConfigurationError(
-                "type_cache_size must be >= 1 or None"
-            )
         if self.min_depth < 1:
             raise ConfigurationError("min_depth must be >= 1")
         if self.merged_cache_size is not None and self.merged_cache_size < 1:
@@ -114,25 +94,6 @@ class XCleanConfig:
             raise ConfigurationError(
                 "deadline_seconds must be > 0 or None"
             )
-        if self.latency_buckets is not None:
-            bounds = tuple(self.latency_buckets)
-            if not bounds:
-                raise ConfigurationError(
-                    "latency_buckets must be non-empty or None"
-                )
-            if any(bound <= 0 for bound in bounds):
-                raise ConfigurationError(
-                    "latency_buckets bounds must be > 0"
-                )
-            if any(
-                later <= earlier
-                for earlier, later in zip(bounds, bounds[1:])
-            ):
-                raise ConfigurationError(
-                    "latency_buckets must be strictly increasing"
-                )
-            # Frozen dataclass: normalize lists to a hashable tuple.
-            object.__setattr__(self, "latency_buckets", bounds)
         if self.fault_plan is not None:
             # Parse for validation only; installation is the caller's
             # (service / worker initializer) responsibility.

@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.index.corpus import CorpusIndex
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.trace import NULL_TRACER
+from repro.obs.context import Context
 
 #: The paper's depth reduction factor in the worked example (Example 3).
 DEFAULT_REDUCTION = 0.8
@@ -35,10 +33,10 @@ DEFAULT_REDUCTION = 0.8
 #: "d = 2 is usually enough" (Section V-B).
 DEFAULT_MIN_DEPTH = 2
 
-#: Default bound of the per-candidate result-type LRU.  A long-lived
-#: service sees an unbounded stream of distinct candidates, so the
-#: cache must not grow with uptime; 64k entries of a few machine words
-#: each keep the hit rate near 100% on skewed traffic.
+#: Bound of the per-candidate result-type LRU.  A long-lived service
+#: sees an unbounded stream of distinct candidates, so the cache must
+#: not grow with uptime; 64k entries of a few machine words each keep
+#: the hit rate near 100% on skewed traffic.
 DEFAULT_TYPE_CACHE_SIZE = 65536
 
 _MISSING = object()
@@ -50,25 +48,21 @@ class ResultTypeConfig:
 
     reduction: float = DEFAULT_REDUCTION
     min_depth: int = DEFAULT_MIN_DEPTH
-    #: LRU bound of the per-candidate cache; ``None`` disables the
-    #: bound (only safe for offline, bounded workloads).
-    cache_size: int | None = DEFAULT_TYPE_CACHE_SIZE
 
     def __post_init__(self):
         if not 0.0 < self.reduction <= 1.0:
             raise ConfigurationError("reduction must be in (0, 1]")
         if self.min_depth < 1:
             raise ConfigurationError("min_depth must be >= 1")
-        if self.cache_size is not None and self.cache_size < 1:
-            raise ConfigurationError("cache_size must be >= 1 or None")
 
 
 class ResultTypeFinder:
     """FindResultType(C) of Section V-B, with per-candidate caching.
 
-    The cache is a bounded LRU (``config.cache_size``): entries
-    refresh on hit and the least recently used candidate is dropped on
-    overflow, so memory stays flat on a long-lived service.  The
+    The cache is an LRU bounded by :data:`DEFAULT_TYPE_CACHE_SIZE`:
+    entries refresh on hit and the least recently used candidate is
+    dropped on overflow, so memory stays flat on a long-lived service.
+    The
     cumulative ``cache_hits``/``cache_misses``/``cache_evictions``
     counters let callers (``XCleanSuggester._run``) report per-query
     deltas.
@@ -78,14 +72,9 @@ class ResultTypeFinder:
         self,
         corpus: CorpusIndex,
         config: ResultTypeConfig | None = None,
-        metrics=NULL_METRICS,
     ):
         self.corpus = corpus
         self.config = config or ResultTypeConfig()
-        self.metrics = metrics or NULL_METRICS
-        #: Optional tracer (``repro.obs.trace``); inference misses emit
-        #: a ``type_infer`` event on the current span when enabled.
-        self.tracer = NULL_TRACER
         #: Keyed on (corpus generation, candidate).  Generation bumps
         #: only when an overlay outgrows its packer; live updates and
         #: swaps are covered because the serving tier builds a fresh
@@ -108,13 +97,16 @@ class ResultTypeFinder:
         depth = self.corpus.path_table.depth_of(path_id)
         return math.log1p(product) * (self.config.reduction ** depth)
 
-    def find(self, candidate: Sequence[str]) -> int | None:
+    def find(
+        self, candidate: Sequence[str], ctx: Context | None = None
+    ) -> int | None:
         """Best result type p_C, or ``None`` when no type contains all
         keywords at depth >= min_depth (such candidates have no valid
         entities and are dropped).
 
         Ties break on the lexicographically smallest path string so the
-        choice — and everything downstream — is deterministic.
+        choice — and everything downstream — is deterministic.  A cache
+        miss is timed as ``ctx``'s ``type_infer`` stage.
         """
         candidate_key = tuple(candidate)
         key = (
@@ -127,17 +119,11 @@ class ResultTypeFinder:
             cache.move_to_end(key)
             return found
         self.cache_misses += 1
-        metrics = self.metrics
-        if metrics.enabled:
-            began = perf_counter()
+        ctx = ctx or Context()
+        with ctx.stage("type_infer") as stage:
             best = self._compute(candidate_key)
-            metrics.observe_stage("type_infer", perf_counter() - began)
-        else:
-            best = self._compute(candidate_key)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.event(
-                "type_infer",
+        if stage.span is not None:
+            stage.span.attributes.update(
                 candidate=" ".join(candidate_key),
                 result_type=(
                     self.corpus.path_table.string_of(best)
@@ -146,8 +132,7 @@ class ResultTypeFinder:
                 ),
             )
         cache[key] = best
-        capacity = self.config.cache_size
-        if capacity is not None and len(cache) > capacity:
+        if len(cache) > DEFAULT_TYPE_CACHE_SIZE:
             cache.popitem(last=False)
             self.cache_evictions += 1
         return best

@@ -28,10 +28,10 @@ What this module adds is the single index's executor:
   with a corrupt on-disk snapshot, the file is verified, moved aside,
   and the service degrades to the parent's still-valid mapping
   in-process;
-* **pool observability**: workers ship per-query stage-timer deltas
-  back in the result payload, merged tally-for-tally into the parent's
-  registry; a traced worker returns its span subtree, stitched under
-  a ``pool.task`` span.
+* **pool observability**: each pool task runs on its own context and
+  ships its raw stage timings back in the result payload, observed
+  into the parent's registry; a traced worker returns its span
+  subtree, stitched under a ``pool.task`` span.
 
 Lifecycle: the service is a context manager; :meth:`close` shuts the
 pool down.  A closed service still answers queries — parallel batches
@@ -68,6 +68,7 @@ from repro.exceptions import ConfigurationError, QueryError, StorageError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import CorpusIndex
 from repro.obs import MetricsRegistry
+from repro.obs.context import Context
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
 
@@ -125,8 +126,8 @@ def _worker_suggest(task: tuple[str, int, dict | None]):
     query, k, trace_ctx = task
     return worker_task(
         "worker.query", "worker", trace_ctx,
-        lambda suggester: (
-            tuple(suggester.suggest(query, k)), suggester.last_stats
+        lambda suggester, ctx: (
+            tuple(suggester.suggest(query, k, ctx)), suggester.last_stats
         ),
         query=query,
     )
@@ -177,7 +178,6 @@ class SuggestionService(ServingCore):
             generator=generator,
             config=self.config,
             metrics=self.metrics_registry,
-            tracer=self.tracer,
         )
         self.worker_recycle_after = worker_recycle_after
         self.breaker = CircuitBreaker(
@@ -234,14 +234,15 @@ class SuggestionService(ServingCore):
         )
 
     def _compute(
-        self, query: str, k: int
+        self, query: str, k: int, ctx: Context
     ) -> tuple[list[Suggestion], CleaningStats]:
         with self._compute_lock:
-            suggestions = self.suggester.suggest(query, k)
+            suggestions = self.suggester.suggest(query, k, ctx)
             return suggestions, self.suggester.last_stats
 
     def _compute_misses(
-        self, queries: list[str], k: int, width: int, cost: int
+        self, queries: list[str], k: int, width: int, cost: int,
+        ctx: Context,
     ) -> list:
         """Answer unique misses on the process pool, degrading as needed."""
         if not self._closed and not self.breaker.allow():
@@ -252,11 +253,10 @@ class SuggestionService(ServingCore):
                 self.breaker.retry_after(),
             )
         trace_ctx = (
-            {"trace_id": self.tracer.trace_id}
-            if self.tracer.enabled else None
+            {"trace_id": ctx.trace_id} if ctx.trace is not None else None
         )
         return self._run_on_pool(
-            [(query, k, trace_ctx) for query in queries], width
+            [(query, k, trace_ctx) for query in queries], width, ctx
         )
 
     def _degraded_reasons(self) -> list[tuple[bool, str]]:
@@ -285,14 +285,15 @@ class SuggestionService(ServingCore):
     # ------------------------------------------------------------------
 
     def _run_on_pool(
-        self, tasks: list[tuple[str, int, dict | None]], workers: int
+        self, tasks: list[tuple[str, int, dict | None]], workers: int,
+        ctx: Context,
     ) -> list:
         """Answer ``tasks`` on the pool, degrading where necessary."""
         pool = self._acquire_pool(workers)
         if pool is None:
             # No pool available (closed service or failed start):
             # everything runs in-process.
-            return [self._degrade(task) for task in tasks]
+            return [self._degrade(task, ctx) for task in tasks]
         futures = []
         submitted_at = time.time()
         submitted_perf = perf_counter()
@@ -307,8 +308,8 @@ class SuggestionService(ServingCore):
         self._pool_tasks += len(tasks)
         answers = [
             self._absorb_worker_answer(
-                task, self._await_worker(task, future),
-                submitted_at, submitted_perf,
+                task, self._await_worker(task, future, ctx),
+                submitted_at, submitted_perf, ctx,
             )
             for task, future in zip(tasks, futures)
         ]
@@ -362,26 +363,26 @@ class SuggestionService(ServingCore):
             self._snapshot_degraded = True
 
     def _absorb_worker_answer(self, task, answer, submitted_at: float,
-                              submitted_perf: float):
-        """Fold a worker's extras into the parent; normalize the shape.
+                              submitted_perf: float, ctx: Context):
+        """Fold a worker's extras into the batch; normalize the shape.
 
         Worker answers arrive as ``(suggestions, stats, extras)``;
         degraded (in-process) answers and unanswerable ``None``s pass
-        through untouched.  The extras' stage deltas and span subtree
-        are absorbed under a ``pool.task`` span covering submit →
-        result (see :meth:`ServingCore._absorb_extras`).
+        through untouched.  The extras' stage timings are observed and
+        the span subtree is stitched under a ``pool.task`` span covering
+        submit → result (see :meth:`Context.absorb`).
         """
         if answer is None or len(answer) != 3:
             return answer
         suggestions, stats, extras = answer
-        self._absorb_extras(
-            extras, self.tracer, "pool.task", submitted_at,
-            submitted_perf, query=task[0],
+        ctx.absorb(
+            extras["timings"], extras["span"], "pool.task",
+            submitted_at, submitted_perf, query=task[0],
         )
         return suggestions, stats
 
     def _await_worker(self, task: tuple[str, int, dict | None],
-                      future):
+                      future, ctx: Context):
         """One worker answer: timeout → retry once → degrade.
 
         Every final outcome feeds the circuit breaker: a served answer
@@ -415,7 +416,7 @@ class SuggestionService(ServingCore):
                 self._count("worker_failures")
                 self._pool_suspect = True
                 self.breaker.record_failure()
-        return self._degrade(task)
+        return self._degrade(task, ctx)
 
     def _resubmit(self, task: tuple[str, int, dict | None]):
         pool = self._pool
@@ -426,13 +427,13 @@ class SuggestionService(ServingCore):
         except Exception:
             return None
 
-    def _degrade(self, task: tuple[str, int, dict | None]):
+    def _degrade(self, task: tuple[str, int, dict | None], ctx: Context):
         """In-process fallback, normalized to ``(suggestions, stats)``."""
         self._count("degraded_queries")
         query, k = task[0], task[1]
         try:
-            with self.tracer.span("degrade", query=query):
-                suggestions, stats = self._compute(query, k)
+            with ctx.stage("degrade", query=query):
+                suggestions, stats = self._compute(query, k, ctx)
         except QueryError:
             return None
         return tuple(suggestions), stats
@@ -699,7 +700,6 @@ class SuggestionService(ServingCore):
             corpus,
             config=self.config,
             metrics=self.metrics_registry,
-            tracer=self.tracer,
         )
 
     def _install(self, corpus, pin: bool) -> None:
@@ -723,19 +723,18 @@ class SuggestionService(ServingCore):
         ``OverlayVariantGenerator`` per radius across installs.
         """
         metrics = self.metrics_registry
-        began = perf_counter() if metrics.enabled else 0.0
-        if suggester is None:
-            suggester = self._prepare_install(corpus)
-        with self._lock:
-            self.corpus = corpus
-            self.suggester = suggester
-            self._swap_epoch += 1
-            self._live_pinned = pin
-            self._snapshot_degraded = False
-            self.stats.generation_swaps += 1
+        with Context(metrics).stage("swap"):
+            if suggester is None:
+                suggester = self._prepare_install(corpus)
+            with self._lock:
+                self.corpus = corpus
+                self.suggester = suggester
+                self._swap_epoch += 1
+                self._live_pinned = pin
+                self._snapshot_degraded = False
+                self.stats.generation_swaps += 1
         if metrics.enabled:
             metrics.inc("generation_swaps_total")
-            metrics.observe_stage("swap", perf_counter() - began)
 
     def _after_swap(self) -> None:
         """Retire the previous generation's worker pool.

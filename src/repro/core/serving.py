@@ -49,10 +49,11 @@ from repro.core.config import XCleanConfig
 from repro.core.suggestion import CleaningStats, Suggestion
 from repro.exceptions import ConfigurationError, Overloaded, QueryError
 from repro.obs import MetricsRegistry, MetricsSnapshot
+from repro.obs.context import Context
 from repro.obs.faults import active as _active_faults
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.recorder import FlightEntry, FlightRecorder
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs.trace import Tracer
 
 logger = logging.getLogger(__name__)
 
@@ -185,10 +186,9 @@ class CircuitBreaker:
 
 _WORKER_SUGGESTER: XCleanSuggester | None = None
 
-#: Worker-local registry; per-task stage-timer *deltas* are shipped
-#: back in the result payload and merged into the parent's registry,
-#: so pool work shows up in the service's ``metrics()``.
-_WORKER_METRICS: MetricsRegistry | None = None
+#: The worker's tracing switch: a traced task roots its own span stack
+#: with this tracer's budgets (see ``Context.request``).
+_WORKER_TRACER = Tracer()
 
 
 def _enter_worker(config: XCleanConfig, load: Callable) -> None:
@@ -199,7 +199,7 @@ def _enter_worker(config: XCleanConfig, load: Callable) -> None:
     at ``worker.init`` breaks the pool exactly like a real initializer
     crash (bad snapshot, OOM) would.  ``load`` returns the corpus.
     """
-    global _WORKER_SUGGESTER, _WORKER_METRICS
+    global _WORKER_SUGGESTER
     if config.fault_plan is not None:
         from repro.obs import faults
 
@@ -207,10 +207,7 @@ def _enter_worker(config: XCleanConfig, load: Callable) -> None:
     faults = _active_faults()
     if faults.enabled:
         faults.hit("worker.init")
-    _WORKER_METRICS = MetricsRegistry(buckets=config.latency_buckets)
-    _WORKER_SUGGESTER = XCleanSuggester(
-        load(), config=config, metrics=_WORKER_METRICS
-    )
+    _WORKER_SUGGESTER = XCleanSuggester(load(), config=config)
 
 
 def _init_worker(corpus, config: XCleanConfig) -> None:
@@ -235,56 +232,45 @@ def worker_task(
     site: str,
     span_name: str,
     trace_ctx: dict | None,
-    call: Callable[[XCleanSuggester], tuple],
+    call: Callable[[XCleanSuggester, Context], tuple],
     **attributes,
 ):
     """The body of every pool task: ``call`` on this worker's suggester.
 
     Fires the fault ``site`` first (``raise`` surfaces in the parent as
     a worker failure; ``delay`` past the worker timeout exercises the
-    retry → degrade ladder).  ``trace_ctx`` is a small picklable dict
-    carrying the parent's trace id (``None`` when tracing is off); when
-    set, the call runs under a per-task tracer whose finished
-    ``span_name`` subtree comes back for the parent to stitch.
+    retry → degrade ladder).  The call runs on the task's own
+    :class:`~repro.obs.context.Context`, which collects its raw stage
+    timings.  ``trace_ctx`` is a small picklable dict carrying the
+    parent's trace id (``None`` when tracing is off); when set, the
+    context also roots a ``span_name`` trace under that id, whose
+    finished subtree comes back for the parent to stitch.
 
-    Returns ``(*call(suggester), extras)`` — ``extras`` holds the
-    per-task stage-timer deltas and the span, or is ``None`` — or
-    ``None`` for an unanswerable query (``QueryError``), which the
-    parent must not cache.
+    Returns ``(*call(suggester, ctx), extras)`` — ``extras`` holds the
+    task's ``timings`` and, when traced, its ``span`` — or ``None`` for
+    an unanswerable query (``QueryError``), which the parent must not
+    cache.
     """
     suggester = _WORKER_SUGGESTER
     assert suggester is not None, "worker not initialized"
     faults = _active_faults()
     if faults.enabled:
         faults.hit(site)
-    registry = _WORKER_METRICS
-    before = registry.stage_states() if registry is not None else {}
-    tracer = None
-    worker_span = None
-    if trace_ctx is not None:
-        tracer = Tracer()
-        tracer.begin(
-            span_name, trace_id=trace_ctx.get("trace_id"),
-            **attributes, pid=os.getpid(),
-        )
-        suggester.bind_tracer(tracer)
-    try:
+    ctx = Context.request(
+        NULL_METRICS,
+        _WORKER_TRACER if trace_ctx is not None else None,
+        span_name,
+        trace_id=trace_ctx.get("trace_id") if trace_ctx else None,
+        timings=[],
+        **attributes,
+        pid=os.getpid(),
+    )
+    with ctx:
         try:
-            result = call(suggester)
+            result = call(suggester, ctx)
         except QueryError:
             return None
-    finally:
-        if tracer is not None:
-            worker_span = tracer.end()
-            suggester.bind_tracer(None)
-    extras: dict = {}
-    if registry is not None:
-        deltas = registry.stage_deltas(before)
-        if deltas:
-            extras["stages"] = deltas
-    if worker_span is not None:
-        extras["span"] = worker_span
-    return (*result, extras or None)
+    return (*result, {"timings": ctx.timings, "span": ctx.root})
 
 
 def stop_pool(pool) -> list:
@@ -371,9 +357,7 @@ class ServingCore:
                 "max_pending must be >= 1 or None (unbounded)"
             )
         self.config = config or XCleanConfig()
-        self.metrics_registry = metrics or MetricsRegistry(
-            buckets=self.config.latency_buckets
-        )
+        self.metrics_registry = metrics or MetricsRegistry()
         self._installed_faults = False
         if self.config.fault_plan is not None:
             from repro.obs import faults
@@ -382,7 +366,10 @@ class ServingCore:
                 self.config.fault_plan, seed=self.config.fault_seed
             )
             self._installed_faults = True
-        self.tracer = tracer or NULL_TRACER
+        #: The tracing switch (``None``: off).  Every request roots its
+        #: own span stack with its budgets (``Context.request``) and
+        #: publishes the finished tree as ``tracer.last_trace``.
+        self.tracer = tracer
         #: Retention of finished request traces; created automatically
         #: when a live tracer is attached (pass an explicit recorder to
         #: control capacities).  ``None`` when tracing is off.
@@ -390,7 +377,7 @@ class ServingCore:
             self.flight_recorder: FlightRecorder | None = (
                 flight_recorder
             )
-        elif self.tracer.enabled:
+        elif tracer is not None:
             self.flight_recorder = FlightRecorder(
                 slow_threshold=slow_threshold
             )
@@ -468,9 +455,10 @@ class ServingCore:
         raise NotImplementedError
 
     def _compute(
-        self, query: str, k: int
+        self, query: str, k: int, ctx: Context
     ) -> tuple[list[Suggestion], CleaningStats]:
-        """Answer one cache miss; raises ``QueryError`` if unanswerable."""
+        """Answer one cache miss on the request's context; raises
+        ``QueryError`` if unanswerable."""
         raise NotImplementedError
 
     def _batch_width(self, workers: int | None) -> int:
@@ -482,13 +470,16 @@ class ServingCore:
         return (self.workers if workers is None else workers) or 1
 
     def _compute_misses(
-        self, queries: list[str], k: int, width: int, cost: int
+        self, queries: list[str], k: int, width: int, cost: int,
+        ctx: Context,
     ) -> list:
         """Answer a batch's unique misses ``width``-wide in parallel.
 
         Returns one ``(suggestions, stats)`` per query, or ``None`` for
         an unanswerable one.  ``cost`` is the whole batch's admitted
-        size: work refused up front sheds it all-or-nothing.
+        size: work refused up front sheds it all-or-nothing.  ``ctx``
+        is the batch's context; parallel work never shares its span
+        stack (see ``Context.fork`` / ``Context.absorb``).
         """
         raise NotImplementedError
 
@@ -543,11 +534,11 @@ class ServingCore:
         Includes per-stage latency histograms (``stage_seconds``:
         tokenize, variant_gen, merge, score, type_infer), request
         latencies, cache counters, and pool lifecycle counters —
-        everything recorded in :attr:`metrics_registry`.  Workers keep
-        their own registries but ship per-query stage deltas back with
-        every answer; the parent merges them, so worker time appears
-        here too (the sharded service also re-records each stage total
-        under ``shard_stage_seconds_total{shard=..., stage=...}``).
+        everything recorded in :attr:`metrics_registry`.  Workers ship
+        each task's raw stage timings back with its answer and the
+        parent observes them, so worker time appears here too (the
+        sharded service also records each leg's stage totals under
+        ``shard_stage_seconds_total{shard=..., stage=...}``).
         """
         return self.metrics_registry.snapshot()
 
@@ -621,45 +612,39 @@ class ServingCore:
     @contextmanager
     def _traced_request(self, name: str, query: str,
                         trace_id: str | None = None,
-                        **attributes) -> Iterator[None]:
-        """Root span + flight-recorder entry around one request.
+                        **attributes) -> Iterator[Context]:
+        """The request's own :class:`Context` (and flight entry).
 
-        Owns the trace only when no span is already open (so a traced
-        ``suggest_batch`` does not nest request roots under itself).
-        On close, the service-level verdict flags (partial / degraded
-        / faulted / error) are derived from :attr:`stats` deltas and
-        the finished trace is retained by the flight recorder.
+        Every request and batch runs on a fresh context: with tracing
+        on, its own span stack rooted at ``name``, so concurrent
+        requests never share spans.  On close, the service-level
+        verdict flags (partial / degraded / faulted / error) are
+        derived from :attr:`stats` deltas and the finished trace is
+        retained by the flight recorder.
 
         ``trace_id`` lets a caller that already minted a correlation
         id (the HTTP front-end, at request arrival) make it the trace
         id, so the access-log line, the span tree, and any
         flight-recorder entry all share one id.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            yield
-            return
-        attributes.update(self._span_attributes())
-        owns = tracer.current() is None
-        if not owns:
-            with tracer.span(name, query=query, **attributes):
-                yield
-            return
+        ctx = Context.request(
+            self.metrics_registry, self.tracer, name, trace_id=trace_id,
+            query=query, **attributes, **self._span_attributes(),
+        )
         stats = self.stats
         partial0 = stats.partial_results
         degraded0 = stats.degraded_queries
         faults = _active_faults()
         fired0 = sum(faults.fired().values()) if faults.enabled else 0
-        tracer.begin(name, trace_id=trace_id, query=query, **attributes)
         error: str | None = None
         try:
-            yield
+            with ctx:
+                yield ctx
         except BaseException as exc:
             error = type(exc).__name__
-            tracer.annotate(error=error)
             raise
         finally:
-            root = tracer.end()
+            root = ctx.root
             recorder = self.flight_recorder
             if root is not None and recorder is not None:
                 fired = (
@@ -675,45 +660,6 @@ class ServingCore:
                     faulted=fired > fired0,
                     error=error,
                 ))
-
-    def _absorb_extras(
-        self,
-        extras: dict | None,
-        tracer,
-        span_name: str,
-        submitted_at: float,
-        submitted_perf: float,
-        **attributes,
-    ) -> dict | None:
-        """Fold a worker's extras into this process; returns its stages.
-
-        Stage-timer deltas merge into :attr:`metrics_registry`.  A
-        returned ``worker`` span subtree is stitched under a parent-side
-        ``span_name`` span whose window covers submit → result, so
-        worker time nests inside it on one coherent timeline.
-        ``submitted_at`` (wall clock) is the span's start timestamp;
-        ``submitted_perf`` (monotonic) is what the duration is measured
-        against, so a wall-clock step (NTP, DST) cannot yield a
-        nonsense span.  The span is at least as long as its child,
-        whose clock is another process's.
-        """
-        if not extras:
-            return None
-        stages = extras.get("stages")
-        if stages:
-            self.metrics_registry.merge_stage_deltas(stages)
-        worker_span = extras.get("span")
-        if worker_span is not None and tracer.enabled:
-            elapsed = perf_counter() - submitted_perf
-            task_span = Span(
-                span_name,
-                start=submitted_at,
-                duration=max(elapsed, worker_span.duration),
-                attributes=attributes,
-            )
-            task_span.children.append(worker_span)
-            tracer.attach(task_span)
-        return stages
 
     @property
     def _stats_sink(self) -> list[CleaningStats] | None:
@@ -732,12 +678,12 @@ class ServingCore:
         if sink is not None:
             sink.append(stats)
 
-    def _note_hit(self) -> CleaningStats:
+    def _note_hit(self, ctx: Context) -> CleaningStats:
         """One answer served from the result cache; returns its stats."""
         with self._lock:
             self.stats.result_cache_hits += 1
             stats = CleaningStats(
-                result_cache_hits=1, trace_id=self.tracer.trace_id
+                result_cache_hits=1, trace_id=ctx.trace_id
             )
             self._note_stats(stats)
         if self.metrics_registry.enabled:
@@ -926,13 +872,16 @@ class ServingCore:
         return Overloaded(message, retry_after=retry_after)
 
     @contextmanager
-    def _drained(self) -> Iterator[None]:
+    def _drained(self, ctx: Context) -> Iterator[None]:
         """Close the swap gate and wait for in-flight requests to drain.
 
         Inside the block nothing is admitted and nothing is in flight;
-        on exit the gate reopens and queued arrivals proceed.
+        on exit the gate reopens and queued arrivals proceed.  The wait
+        is ``ctx``'s ``swap_drain`` stage: how long new arrivals sat
+        queued behind the gate, the availability-relevant slice of a
+        swap.
         """
-        with self._lock:
+        with ctx.stage("swap_drain"), self._lock:
             self._swapping = True
             while self._inflight > 0:
                 self._swap_gate.wait()
@@ -973,17 +922,19 @@ class ServingCore:
         :meth:`release` it.  ``trace_id`` is the caller-minted
         correlation id, if any (see :meth:`_traced_request`).
         """
-        with self._traced_request("request", query, trace_id=trace_id):
+        with self._traced_request(
+            "request", query, trace_id=trace_id
+        ) as ctx:
             if not pre_admitted:
                 self.admit(1)
             try:
-                return self._suggest_one_detailed(query, k)
+                return self._suggest_one_detailed(query, k, ctx)
             finally:
                 if not pre_admitted:
                     self.release(1)
 
     def _suggest_one_detailed(
-        self, query: str, k: int
+        self, query: str, k: int, ctx: Context
     ) -> tuple[list[Suggestion], CleaningStats]:
         """The single-query path, past admission control.
 
@@ -1003,9 +954,8 @@ class ServingCore:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self._result_cache.move_to_end(key)
-                stats = self._note_hit()
-                if self.tracer.enabled:
-                    self.tracer.event("result_cache_hit", query=query)
+                stats = self._note_hit(ctx)
+                ctx.event("result_cache_hit", query=query)
                 if metrics.enabled:
                     metrics.observe(
                         "request_seconds", perf_counter() - began
@@ -1014,7 +964,7 @@ class ServingCore:
         # Count the miss only once the answer exists: unanswerable
         # queries raise and are tallied separately, exactly as in the
         # batch paths.
-        suggestions, stats = self._compute(query, k)
+        suggestions, stats = self._compute(query, k, ctx)
         with self._lock:
             stats.result_cache_misses += 1
             self._note_miss(stats)
@@ -1060,27 +1010,21 @@ class ServingCore:
         metrics = self.metrics_registry
         if metrics.enabled:
             metrics.inc("batches_total")
-        tracer = self.tracer
         with self._traced_request(
             "batch", f"<batch of {len(queries)}>",
             queries=len(queries),
-        ):
+        ) as ctx:
             self.admit(len(queries))
             try:
                 width = self._batch_width(workers)
                 if width > 1:
-                    return self._serve_batch(queries, k, width)
+                    return self._serve_batch(queries, k, width, ctx)
                 out: list[list[Suggestion]] = []
                 for query in queries:
                     try:
-                        if tracer.enabled:
-                            with tracer.span("query", query=query):
-                                answer, _ = self._suggest_one_detailed(
-                                    query, k
-                                )
-                        else:
+                        with ctx.stage("query", query=query):
                             answer, _ = self._suggest_one_detailed(
-                                query, k
+                                query, k, ctx
                             )
                     except QueryError:
                         self._note_unanswerable()
@@ -1119,7 +1063,7 @@ class ServingCore:
         return list(zip(answers, sink))
 
     def _serve_batch(
-        self, queries: Sequence[str], k: int, width: int
+        self, queries: Sequence[str], k: int, width: int, ctx: Context
     ) -> list[list[Suggestion]]:
         """The parallel batch path: compute unique misses, then serve.
 
@@ -1149,7 +1093,7 @@ class ServingCore:
         ] = {}
         if pending:
             answers = self._compute_misses(
-                list(pending.values()), k, width, len(queries)
+                list(pending.values()), k, width, len(queries), ctx
             )
             for key, answer in zip(pending, answers):
                 if answer is None:
@@ -1173,7 +1117,7 @@ class ServingCore:
                         first.discard(key)
                         self._note_miss(fresh[key][1])
                     else:
-                        self._note_hit()
+                        self._note_hit(ctx)
                     out.append(list(cached))
                 elif key in fresh:
                     suggestions, stats = fresh[key]

@@ -62,8 +62,9 @@ from repro.core.suggestion import CleaningStats, Suggestion
 from repro.exceptions import ConfigurationError, QueryError, StorageError
 from repro.index.sharding import ShardManifest, load_manifest
 from repro.obs import MetricsRegistry
+from repro.obs.context import Context
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +87,7 @@ def _worker_shard_partials(task: tuple[str, dict | None, int]):
     query, trace_ctx, shard_id = task
     return worker_task(
         "shard.query", "shard.worker", trace_ctx,
-        lambda suggester: suggester.partial_rows(query),
+        lambda suggester, ctx: suggester.partial_rows(query, ctx),
         query=query, shard=shard_id,
     )
 
@@ -420,25 +421,34 @@ class ShardedSuggestionService(ServingCore):
         return self.replicas + 1 if workers is None else workers
 
     def _compute_misses(
-        self, queries: list[str], k: int, width: int, cost: int
+        self, queries: list[str], k: int, width: int, cost: int,
+        ctx: Context,
     ) -> list:
-        """Scatter each unique miss, untraced, from its own thread.
+        """Scatter each unique miss from its own thread.
 
-        Distinct queries overlap on distinct replicas.  Only
-        ``QueryError`` makes a query unanswerable; a ``StorageError``
-        (every shard failed) propagates, as from the single-query path.
+        Distinct queries overlap on distinct replicas.  Each runs on a
+        fork of the batch's context — its own span stack under the
+        batch's trace id — grafted back under the batch in query order
+        once every thread is done.  Only ``QueryError`` makes a query
+        unanswerable; a ``StorageError`` (every shard failed)
+        propagates, as from the single-query path.
         """
+        forks = [ctx.fork("query", query=query) for query in queries]
 
-        def compute(query):
-            try:
-                return self._compute(query, k, traced=False)
-            except QueryError:
-                return None
+        def compute(query, fork):
+            with fork:
+                try:
+                    return self._compute(query, k, fork)
+                except QueryError:
+                    return None
 
         with ThreadPoolExecutor(
             max_workers=min(width, len(queries))
         ) as executor:
-            return list(executor.map(compute, queries))
+            answers = list(executor.map(compute, queries, forks))
+        for fork in forks:
+            ctx.adopt(fork)
+        return answers
 
     def _degraded_reasons(self) -> list[tuple[bool, str]]:
         """An open replica breaker degrades; a shard whose every
@@ -631,10 +641,8 @@ class ShardedSuggestionService(ServingCore):
                 f"generation swap cannot change the shard count "
                 f"({self.shard_count} -> {len(paths)})"
             )
-        metrics = self.metrics_registry
-        began = perf_counter() if metrics.enabled else 0.0
-        with self._drained():
-            drained = perf_counter() if metrics.enabled else 0.0
+        ctx = Context(self.metrics_registry)
+        with ctx.stage("swap"), self._drained(ctx):
             with self._local_lock:
                 self._local = {}
             for row, path in zip(self._pools, paths):
@@ -647,38 +655,21 @@ class ShardedSuggestionService(ServingCore):
                 self._swap_epoch += 1
             self._count("generation_swaps")
             self.corpus = self._local_suggester(0).corpus
-            if metrics.enabled:
-                # Drain time is the availability-relevant slice: how
-                # long new arrivals sat queued behind the gate.
-                metrics.observe_stage("swap_drain", drained - began)
-                metrics.observe_stage(
-                    "swap", perf_counter() - began
-                )
 
     # ------------------------------------------------------------------
     # Scatter / gather
     # ------------------------------------------------------------------
 
     def _compute(
-        self, query: str, k: int, traced: bool = True
+        self, query: str, k: int, ctx: Context
     ) -> tuple[list[Suggestion], CleaningStats]:
-        """One full scatter-gather pass (no caching, no admission).
-
-        ``traced=False`` (the threaded batch path) suppresses all
-        coordinator-side span work: the live :class:`Tracer` keeps a
-        single span stack and is not safe to drive from the batch's
-        worker threads.
-        """
-        tracer = self.tracer if traced else NULL_TRACER
-        trace_ctx = (
-            {"trace_id": tracer.trace_id} if tracer.enabled else None
-        )
-        with tracer.span("scatter", shards=self.shard_count):
+        """One full scatter-gather pass (no caching, no admission)."""
+        with ctx.stage("scatter", shards=self.shard_count):
             if self.replicas > 0 and not self._closed:
-                legs = self._scatter_pooled(query, trace_ctx, tracer)
+                legs = self._scatter_pooled(query, ctx)
             else:
                 legs = [
-                    self._query_shard_local(sid, query, tracer)
+                    self._query_shard_local(sid, query, ctx)
                     for sid in range(self.shard_count)
                 ]
         if any(kind == "unanswerable" for kind, _, _ in legs):
@@ -692,12 +683,12 @@ class ShardedSuggestionService(ServingCore):
                 f"all {self.shard_count} shards failed; no answer "
                 "possible"
             )
-        with tracer.span("gather", tables=len(tables)):
+        with ctx.stage("gather", tables=len(tables)):
             suggestions, merged = merge_partial_tables(tables, k)
         stats = fold_cleaning_stats(
             [leg_stats for kind, _, leg_stats in legs
              if kind == "ok"],
-            trace_id=tracer.trace_id,
+            trace_id=ctx.trace_id,
         )
         stats.extra = dict(
             stats.extra or {},
@@ -709,9 +700,7 @@ class ShardedSuggestionService(ServingCore):
             stats.partial = True
         return suggestions, stats
 
-    def _scatter_pooled(
-        self, query: str, trace_ctx: dict | None, tracer
-    ) -> list:
+    def _scatter_pooled(self, query: str, ctx: Context) -> list:
         """Fan one query to every shard's replicas; gather in order.
 
         Phase 1 dispatches one leg per shard so the shards overlap;
@@ -719,6 +708,9 @@ class ShardedSuggestionService(ServingCore):
         (next replica → in-process → omit) serially — failover is the
         cold path.
         """
+        trace_ctx = (
+            {"trace_id": ctx.trace_id} if ctx.trace is not None else None
+        )
         orders = [
             self._replica_order(sid)
             for sid in range(self.shard_count)
@@ -735,8 +727,7 @@ class ShardedSuggestionService(ServingCore):
             primaries.append(primary)
         return [
             self._gather_shard(
-                sid, query, trace_ctx, orders[sid], primaries[sid],
-                tracer,
+                sid, query, trace_ctx, orders[sid], primaries[sid], ctx
             )
             for sid in range(self.shard_count)
         ]
@@ -766,7 +757,7 @@ class ShardedSuggestionService(ServingCore):
         trace_ctx: dict | None,
         order: list,
         primary: tuple | None,
-        tracer,
+        ctx: Context,
     ) -> tuple:
         """One shard's answer: replica ladder → in-process → omitted."""
         task = (query, trace_ctx, sid)
@@ -810,18 +801,18 @@ class ShardedSuggestionService(ServingCore):
             rows, stats, extras = answer
             # Scatter legs appear as sibling ``shard.task`` spans in
             # one trace tree, and hot shards per stage in metrics.
-            stages = self._absorb_extras(
-                extras, tracer, "shard.task", wall, perf,
-                query=query, shard=sid, replica=replica.replica_id,
+            ctx.absorb(
+                extras["timings"], extras["span"], "shard.task", wall,
+                perf, query=query, shard=sid,
+                replica=replica.replica_id,
             )
-            if stages:
-                self._label_stage_deltas(sid, stages)
+            self._label_leg_timings(sid, extras["timings"])
             return ("ok", rows, stats)
         # Every replica refused or failed.
         if self.degrade_in_process:
             self._count("degraded_queries")
             try:
-                return self._query_shard_local(sid, query, tracer)
+                return self._query_shard_local(sid, query, ctx)
             except StorageError as error:
                 logger.warning(
                     "in-process fallback for shard %d failed: %s",
@@ -835,37 +826,22 @@ class ShardedSuggestionService(ServingCore):
         return ("omitted", None, None)
 
     def _query_shard_local(
-        self, sid: int, query: str, tracer
+        self, sid: int, query: str, ctx: Context
     ) -> tuple:
         """One shard leg computed in-process (serial mode / fallback).
 
-        The local suggester shares :attr:`metrics_registry`, so its
-        stage timers land in the global histograms directly; only the
-        per-shard labeled totals are recorded from the deltas here
-        (merging them back would double-count).
+        The leg runs on its own context over the request's span stack:
+        its stages land in the global histograms directly, and the
+        timings it collects give the per-shard labeled totals.
         """
         suggester = self._local_suggester(sid)
-        metrics = self.metrics_registry
-        with self._compute_lock:
-            before = (
-                metrics.stage_states() if metrics.enabled else {}
-            )
-            bound = tracer.enabled and tracer is self.tracer
-            if bound:
-                suggester.bind_tracer(tracer)
+        leg = Context(ctx.metrics, ctx.trace, ctx.recorder, timings=[])
+        with self._compute_lock, ctx.stage("shard.local", shard=sid):
             try:
-                with tracer.span("shard.local", shard=sid):
-                    try:
-                        rows, stats = suggester.partial_rows(query)
-                    except QueryError:
-                        return ("unanswerable", None, None)
-            finally:
-                if bound:
-                    suggester.bind_tracer(None)
-            if metrics.enabled:
-                self._label_stage_deltas(
-                    sid, metrics.stage_deltas(before)
-                )
+                rows, stats = suggester.partial_rows(query, leg)
+            except QueryError:
+                return ("unanswerable", None, None)
+        self._label_leg_timings(sid, leg.timings)
         return ("ok", rows, stats)
 
     def _local_suggester(self, sid: int) -> XCleanSuggester:
@@ -885,10 +861,13 @@ class ShardedSuggestionService(ServingCore):
                 self._local[sid] = suggester
             return suggester
 
-    def _label_stage_deltas(self, sid: int, deltas: dict) -> None:
-        """Record per-shard stage totals under a labeled counter."""
+    def _label_leg_timings(self, sid: int, timings) -> None:
+        """Record a leg's stage totals under a per-shard counter."""
+        totals: dict[str, float] = {}
+        for stage, seconds in timings:
+            totals[stage] = totals.get(stage, 0.0) + seconds
         metrics = self.metrics_registry
-        for stage, (_tallies, total, _count) in deltas.items():
+        for stage, total in totals.items():
             metrics.inc(
                 "shard_stage_seconds_total", total,
                 shard=str(sid), stage=stage,

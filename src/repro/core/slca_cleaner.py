@@ -111,6 +111,8 @@ class SLCACleanSuggester(XCleanSuggester):
         stats: CleaningStats,
         view,
         group: int,
+        ctx,
+        score,
     ) -> None:
         """Score the group's candidates over their entity roots (Eq. 8/9).
 

@@ -125,43 +125,6 @@ def evaluate_suggester(
     )
 
 
-def evaluate_snapshot(
-    index_path: str,
-    records: Sequence[QueryRecord],
-    k: int = 10,
-    precision_levels: Sequence[int] = DEFAULT_PRECISION_LEVELS,
-    system: str = "",
-    workload: str = "",
-    config=None,
-) -> EvalResult:
-    """Cold-start evaluation: load a v3 snapshot, run the workload.
-
-    The snapshot mmaps in near-constant time, and a fresh
-    :class:`~repro.core.cleaner.XCleanSuggester` is built over it
-    (serving variants straight from its embedded FastSS sections), so
-    the numbers include what a worker pays between process start and
-    its first answer.  The load time is attached to the result as
-    ``metrics["index_load_seconds"]``.
-    """
-    from repro.core.cleaner import XCleanSuggester
-    from repro.index.snapshot import load_snapshot
-
-    started = time.perf_counter()
-    corpus = load_snapshot(index_path)
-    load_seconds = time.perf_counter() - started
-    suggester = XCleanSuggester(corpus, config=config)
-    result = evaluate_suggester(
-        suggester,
-        records,
-        k=k,
-        precision_levels=precision_levels,
-        system=system or "XClean@snapshot",
-        workload=workload,
-    )
-    result.metrics = {"index_load_seconds": load_seconds}
-    return result
-
-
 def evaluate_service(
     service,
     records: Sequence[QueryRecord],

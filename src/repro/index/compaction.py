@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-from time import perf_counter
 
 from repro.exceptions import StorageError, UpdateError
 from repro.index.atomic import atomic_write
@@ -57,6 +56,7 @@ from repro.index.sharding import (
 )
 from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.index.wal import WalRecord, WriteAheadLog
+from repro.obs.context import Context
 from repro.obs.faults import active as _active_faults
 from repro.obs.metrics import NULL_METRICS
 from repro.xmltree.document import XMLDocument
@@ -310,18 +310,19 @@ class LiveIndexManager:
         replay on the next open.
         """
         metrics = self.metrics
+        ctx = Context(metrics)
         applied = 0
         for record in records:
             if isinstance(record, dict):
                 record = WalRecord.from_dict(record)
             self._validate(record)
-            with metrics.stage("wal_append"):
+            with ctx.stage("wal_append"):
                 self.wal.append(record)
             self.acked_records += 1
             self.wal_records += 1
             if metrics.enabled:
                 metrics.inc("wal_records_total")
-            with metrics.stage("delta_apply"):
+            with ctx.stage("delta_apply"):
                 result = apply_record(self.document, record)
                 self.applied_records += 1
                 if not self.sharded:
@@ -351,38 +352,29 @@ class LiveIndexManager:
                 f"resetting the WAL would discard them — reopen the "
                 f"index to recover them by replay"
             )
-        began = perf_counter()
         folding = self.wal_records
         new_generation = self.generation + 1
+        # Every attempt is a "compact" stage, failed ones included; its
+        # one elapsed reading is also the status duration.
+        stage = Context(self.metrics).stage("compact")
+        outcome = "failed"
         try:
-            faults = _active_faults()
-            if faults.enabled:
-                faults.hit("compact.swap", path=self.wal_path)
-            self._write_live_source(self.document, new_generation)
-            self._finish_compaction(new_generation, workers=workers)
-        except BaseException:
-            duration = perf_counter() - began
+            with stage:
+                faults = _active_faults()
+                if faults.enabled:
+                    faults.hit("compact.swap", path=self.wal_path)
+                self._write_live_source(self.document, new_generation)
+                self._finish_compaction(new_generation, workers=workers)
+            outcome = "ok"
+        finally:
             self.last_compaction = {
                 "generation": new_generation,
-                "duration_s": duration,
-                "outcome": "failed",
+                "duration_s": stage.seconds,
+                "outcome": outcome,
                 "records_folded": folding,
             }
             if self.metrics.enabled:
-                self.metrics.inc(
-                    "compactions_total", outcome="failed"
-                )
-            raise
-        duration = perf_counter() - began
-        self.last_compaction = {
-            "generation": new_generation,
-            "duration_s": duration,
-            "outcome": "ok",
-            "records_folded": folding,
-        }
-        if self.metrics.enabled:
-            self.metrics.inc("compactions_total", outcome="ok")
-            self.metrics.observe_stage("compact", duration)
+                self.metrics.inc("compactions_total", outcome=outcome)
         return new_generation
 
     def _finish_compaction(

@@ -35,6 +35,7 @@ from repro.index.merged_list import PackedMergedColumns, PackedMergedList
 from repro.index.path_index import PathIndex, path_counts_from_postings
 from repro.index.tokenizer import Tokenizer
 from repro.index.vocabulary import Vocabulary
+from repro.obs.context import Context
 from repro.obs.metrics import NULL_METRICS
 from repro.xmltree.dewey import DeweyCode
 from repro.xmltree.dewey_packed import DeweyPacker
@@ -297,7 +298,7 @@ class CorpusIndex(QueryEngineMixin):
         """The columnar view used by the packed engine (built once)."""
         packed = self._packed
         if packed is None:
-            with self._metrics.stage("pack_index"):
+            with Context(self._metrics).stage("pack_index"):
                 packed = PackedIndex(
                     self.inverted, self.subtree_token_counts
                 )

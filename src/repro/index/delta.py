@@ -191,13 +191,6 @@ def apply_record(
     return ApplyResult(record, old, new, parent_labels)
 
 
-def apply_records(
-    document: XMLDocument, records: Iterable[WalRecord]
-) -> list[ApplyResult]:
-    """Apply a sequence of records in order (mutating the document)."""
-    return [apply_record(document, record) for record in records]
-
-
 # ----------------------------------------------------------------------
 # The delta segment
 # ----------------------------------------------------------------------

@@ -94,6 +94,7 @@ from repro.index.atomic import atomic_write
 from repro.index.corpus import CorpusIndex, QueryEngineMixin
 from repro.index.inverted import InvertedList, PackedInvertedList
 from repro.index.tokenizer import Tokenizer, TokenizerConfig
+from repro.obs.context import Context
 from repro.obs.faults import active as _active_faults
 from repro.obs.metrics import INDEX_LOAD_STAGE, NULL_METRICS
 from repro.xmltree.dewey import DeweyCode
@@ -382,7 +383,7 @@ def build_snapshot(
     add("voc_df", _le_bytes(array("q", (row[2] for row in rows))))
     add("voc_rel", _le_bytes(array("d", (row[3] for row in rows))))
 
-    with metrics.stage("pack_index"):
+    with Context(metrics).stage("pack_index"):
         starts, keys, pids, tfs = _pack_postings(
             index, packer, tokens, workers
         )
@@ -1315,8 +1316,7 @@ def load_snapshot(path: str, metrics=None) -> SnapshotCorpusIndex:
     content raises :class:`StorageError`; run :func:`verify_snapshot`
     for a deep per-section CRC check.
     """
-    metrics = metrics or NULL_METRICS
-    with metrics.stage(INDEX_LOAD_STAGE):
+    with Context(metrics or NULL_METRICS).stage(INDEX_LOAD_STAGE):
         mapped = _map_file(path)
         table = _parse_table(mapped)
         sections = _Sections(mapped, table)

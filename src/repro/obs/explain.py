@@ -14,9 +14,9 @@ accumulation order — it therefore matches the engine's reported score
 bit for bit (asserted to 1e-9 in ``tests/obs/test_explain.py``, with
 skipping on and off).
 
-The recorder is only ever attached for explain runs; the hot path
-carries a ``self._recorder is None`` check per scored candidate and
-nothing else.
+The recorder is only ever attached for explain runs, carried by the
+query's :class:`~repro.obs.context.Context`; the hot path carries a
+``recorder is None`` check per scored candidate and nothing else.
 """
 
 from __future__ import annotations
@@ -186,12 +186,18 @@ class KernelPruneNote:
     upper_bound: float
     #: The accumulator floor the bound failed to reach.
     floor: float
+    #: The incoming estimate ``pool.add`` would have seen had the
+    #: group been scored the unpruned way (error_weight × mass /
+    #: normalizer): a sound prune has ``exact <= upper_bound`` and
+    #: ``exact < floor``, so the add would have been rejected.
+    exact: float
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "candidate": list(self.candidate),
             "upper_bound": self.upper_bound,
             "floor": self.floor,
+            "exact": self.exact,
         }
 
 
@@ -221,8 +227,9 @@ class ScoreRecorder:
     """Collects score provenance during one explain run.
 
     The merge loop calls :meth:`group` immediately *before* ``pool.add``
-    for the same candidate; the pool's pruning observer then fixes the
-    record up if the add was rejected or evicted somebody.
+    for the same candidate; the pool's pruning observer (the query's
+    :class:`~repro.obs.context.Context`) then fixes the record up if
+    the add was rejected or evicted somebody.
     """
 
     def __init__(self):
@@ -238,6 +245,7 @@ class ScoreRecorder:
         candidate: tuple[str, ...],
         upper_bound: float,
         floor: float,
+        exact: float,
     ) -> None:
         """The merge kernel skipped ``candidate`` before scoring."""
         self.kernel_prunes.append(
@@ -245,6 +253,7 @@ class ScoreRecorder:
                 candidate=candidate,
                 upper_bound=upper_bound,
                 floor=floor,
+                exact=exact,
             )
         )
 
@@ -315,46 +324,6 @@ class ScoreRecorder:
             # entered the accumulator; drop it from the record too.
             if record.epochs[-1]:
                 record.epochs[-1].pop()
-
-
-class PruningObserver:
-    """Bridges ``AccumulatorPool`` pruning decisions to the recorder
-    and/or tracer (either may be absent)."""
-
-    __slots__ = ("recorder", "tracer")
-
-    def __init__(self, recorder: ScoreRecorder | None, tracer=None):
-        self.recorder = recorder
-        self.tracer = tracer
-
-    def evicted(
-        self, victim, entry, incoming, incoming_estimate: float
-    ) -> None:
-        if self.recorder is not None:
-            self.recorder.note_eviction(
-                victim,
-                entry.estimate(),
-                entry.samples,
-                incoming,
-                incoming_estimate,
-            )
-        if self.tracer is not None:
-            self.tracer.event(
-                "accumulator_evict",
-                victim=" ".join(victim),
-                estimate=entry.estimate(),
-                evicted_by=" ".join(incoming),
-            )
-
-    def rejected(self, incoming, estimate: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_rejection(incoming, estimate)
-        if self.tracer is not None:
-            self.tracer.event(
-                "accumulator_reject",
-                candidate=" ".join(incoming),
-                estimate=estimate,
-            )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Serving-layer metrics: counters, latency histograms, stage timers.
+"""Serving-layer metrics: counters, gauges, latency histograms.
 
 The registry is deliberately tiny — plain Python objects, no
 background threads — because it sits on the query hot path.  Two
@@ -6,8 +6,10 @@ implementations share one interface:
 
 * :class:`MetricsRegistry` — the live registry.  Counters are floats,
   histograms are fixed-bucket cumulative latency histograms (the
-  Prometheus model), and :meth:`MetricsRegistry.stage` times a named
-  pipeline stage into the shared ``stage_seconds`` histogram family.
+  Prometheus model).  Pipeline stages are timed into the shared
+  ``stage_seconds`` histogram family by
+  :meth:`repro.obs.context.Context.stage`, the one instrumentation
+  primitive.
 * :data:`NULL_METRICS` — the disabled singleton.  Every hook is a
   no-op; hot code guards its ``perf_counter`` calls behind
   ``metrics.enabled`` so a disabled registry costs one attribute load
@@ -17,11 +19,12 @@ Snapshots (:meth:`MetricsRegistry.snapshot`) are point-in-time copies
 that render as a JSON-friendly dict or Prometheus text exposition
 format; see :mod:`repro.obs.export`.
 
-Counters and histograms are process-local: worker processes of the
-serving pool keep their own registries, and only parent-side metrics
-appear in :meth:`SuggestionService.metrics`.
+Counters and histograms are process-local: a pool task returns its
+raw stage timings and the parent observes them, so worker stage time
+appears in :meth:`SuggestionService.metrics` without any histogram
+state crossing processes.
 
-Thread safety: every mutation (``inc``, ``observe``, state merges) and
+Thread safety: every mutation (``inc``, ``observe``) and
 every read-out (``snapshot``) runs under a per-object lock, so the
 asyncio HTTP front-end's executor threads and the serving code can
 share one registry without dropping increments (``value += x`` is not
@@ -35,28 +38,26 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from time import perf_counter
 
-#: Upper bounds (seconds) of the default latency histogram; an +Inf
-#: overflow bucket is implicit.  Spans 1µs .. 5s, log-ish spacing —
-#: the µs end exists for the mmap snapshot path, whose ~0.2 ms loads
-#: all collapsed into one bucket under the old 100µs floor.  Override
-#: per deployment with ``XCleanConfig.latency_buckets`` (threaded into
-#: pool workers) or per registry via ``MetricsRegistry(buckets=...)``.
+#: Upper bounds (seconds) of every registry-made latency histogram; an
+#: +Inf overflow bucket is implicit.  Spans 1µs .. 5s, log-ish spacing
+#: — the µs end exists for the mmap snapshot path, whose ~0.2 ms loads
+#: all collapsed into one bucket under the old 100µs floor.  A
+#: standalone ``Histogram(buckets=...)`` may use other bounds.
 DEFAULT_LATENCY_BUCKETS = (
     0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
-#: Histogram family that all stage timers observe into.
+#: Histogram family every ``Context.stage`` observes into.
 STAGE_HISTOGRAM = "stage_seconds"
 
 #: Stage name for index deserialization / snapshot mapping — the cold
 #: half of the pipeline (pack_index and the query stages cover the warm
-#: half).  Every loader in ``cli.py``, ``snapshot.py`` and the serving
-#: benchmarks times itself under this name so cold starts show up next
-#: to the query stages in one ``stage_seconds`` family.
+#: half).  The snapshot loader and the serving benchmarks time
+#: themselves under this name so cold starts show up next to the query
+#: stages in one ``stage_seconds`` family.
 INDEX_LOAD_STAGE = "index_load"
 
 
@@ -212,37 +213,6 @@ class Histogram:
                 "p99": self.quantile(0.99),
             }
 
-    # -- cross-process merging ----------------------------------------
-
-    def state(self) -> tuple[tuple[int, ...], float, int]:
-        """``(tallies, sum, count)`` — the mergeable raw state.
-
-        Picklable and cheap; a pool worker snapshots its histograms as
-        states, ships the deltas in its result payload, and the parent
-        folds them in with :meth:`merge_state`.
-        """
-        with self._lock:
-            return (tuple(self._tallies), self.sum, self.count)
-
-    def merge_state(self, tallies, total: float, count: int) -> None:
-        """Fold another histogram's raw state into this one.
-
-        The other histogram must share this one's bucket layout — a
-        mismatched tally vector is rejected so a worker built with
-        different ``latency_buckets`` cannot silently skew the parent.
-        """
-        if len(tallies) != len(self._tallies):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge state with "
-                f"{len(tallies)} tallies into {len(self._tallies)} "
-                f"buckets"
-            )
-        with self._lock:
-            for index, tally in enumerate(tallies):
-                self._tallies[index] += tally
-            self.sum += total
-            self.count += count
-
     def __getstate__(self):
         return (self.name, self.help, self.labels, self.buckets,
                 self._tallies, self.sum, self.count)
@@ -253,38 +223,16 @@ class Histogram:
         self._lock = threading.RLock()
 
 
-class _StageTimer:
-    """Context manager observing its lifetime into a histogram."""
-
-    __slots__ = ("_histogram", "_began")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._began = 0.0
-
-    def __enter__(self) -> "_StageTimer":
-        self._began = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._histogram.observe(perf_counter() - self._began)
-        return False
-
-
 class MetricsRegistry:
     """The live metrics registry (see module docstring)."""
 
     enabled = True
 
-    __slots__ = ("namespace", "buckets", "_counters", "_gauges",
+    __slots__ = ("namespace", "_counters", "_gauges",
                  "_histograms", "_stage_histograms", "_lock")
 
-    def __init__(self, namespace: str = "xclean",
-                 buckets: tuple[float, ...] | None = None):
+    def __init__(self, namespace: str = "xclean"):
         self.namespace = namespace
-        #: Default bucket bounds for histograms created by this
-        #: registry (``XCleanConfig.latency_buckets`` lands here).
-        self.buckets = tuple(buckets or DEFAULT_LATENCY_BUCKETS)
         # Guards series *creation* and snapshotting; each series owns
         # its own lock for recording, so hot-path increments on
         # existing series never contend with one another here.
@@ -336,7 +284,8 @@ class MetricsRegistry:
                 found = self._histograms.get(key)
                 if found is None:
                     found = Histogram(
-                        name, help, buckets or self.buckets, labels
+                        name, help, buckets or DEFAULT_LATENCY_BUCKETS,
+                        labels,
                     )
                     self._histograms[key] = found
         return found
@@ -354,7 +303,8 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels: str) -> None:
         self.histogram(name, **labels).observe(value)
 
-    def _stage_histogram(self, stage: str) -> Histogram:
+    def stage_histogram(self, stage: str) -> Histogram:
+        """The ``stage_seconds{stage=...}`` series (hot-path lookup)."""
         found = self._stage_histograms.get(stage)
         if found is None:
             found = self.histogram(STAGE_HISTOGRAM, stage=stage)
@@ -362,67 +312,6 @@ class MetricsRegistry:
             # object (histogram() deduplicates under the lock).
             self._stage_histograms[stage] = found
         return found
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        """Record one timing of a named pipeline stage."""
-        self._stage_histogram(stage).observe(seconds)
-
-    def stage(self, name: str) -> _StageTimer:
-        """Context manager timing a named pipeline stage."""
-        return _StageTimer(self._stage_histogram(name))
-
-    # -- worker-side stage aggregation --------------------------------
-
-    def stage_states(self) -> dict[str, tuple]:
-        """Raw state of every stage-timer series, keyed by stage name.
-
-        The mergeable counterpart of the ``stages`` snapshot view —
-        see :meth:`stage_deltas` / :meth:`merge_stage_deltas`.
-        """
-        return {
-            stage: histogram.state()
-            for stage, histogram in self._stage_histograms.items()
-        }
-
-    def stage_deltas(self, before: dict[str, tuple]) -> dict[str, tuple]:
-        """Stage-state changes since a prior :meth:`stage_states`.
-
-        Returns only stages that moved; the result is picklable and
-        travels in the pool-worker answer payload.
-        """
-        deltas: dict[str, tuple] = {}
-        for stage, (tallies, total, count) in self.stage_states().items():
-            prior = before.get(stage)
-            if prior is None:
-                if count:
-                    deltas[stage] = (tallies, total, count)
-                continue
-            prior_tallies, prior_total, prior_count = prior
-            if count == prior_count:
-                continue
-            deltas[stage] = (
-                tuple(
-                    tally - old
-                    for tally, old in zip(tallies, prior_tallies)
-                ),
-                total - prior_total,
-                count - prior_count,
-            )
-        return deltas
-
-    def merge_stage_deltas(self, deltas: dict[str, tuple]) -> None:
-        """Fold worker-side stage deltas into this registry.
-
-        Stages whose bucket layout disagrees (worker configured with
-        different ``latency_buckets``) are skipped rather than merged
-        wrongly — the parent's own latency series stay exact.
-        """
-        for stage, (tallies, total, count) in deltas.items():
-            histogram = self._stage_histogram(stage)
-            try:
-                histogram.merge_state(tallies, total, count)
-            except ValueError:
-                continue
 
     # -- export -------------------------------------------------------
 
@@ -465,32 +354,13 @@ class MetricsRegistry:
         return self.snapshot().to_prometheus()
 
     def __getstate__(self):
-        return (self.namespace, self.buckets, self._counters,
-                self._histograms, self._stage_histograms, self._gauges)
+        return (self.namespace, self._counters, self._histograms,
+                self._stage_histograms, self._gauges)
 
     def __setstate__(self, state) -> None:
-        # Pre-gauge pickles (5-tuple) still load: a registry shipped
-        # to a pool worker round-trips within one process version, but
-        # the guard costs nothing.
-        if len(state) == 5:
-            state = state + ({},)
-        (self.namespace, self.buckets, self._counters,
-         self._histograms, self._stage_histograms,
-         self._gauges) = state
+        (self.namespace, self._counters, self._histograms,
+         self._stage_histograms, self._gauges) = state
         self._lock = threading.Lock()
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
 
 
 class _NullCounter:
@@ -541,7 +411,6 @@ class NullMetrics:
     __slots__ = ()
 
     namespace = "xclean"
-    buckets = DEFAULT_LATENCY_BUCKETS
 
     def counter(self, name: str, help: str = "",
                 **labels: str) -> _NullCounter:
@@ -565,21 +434,6 @@ class NullMetrics:
         pass
 
     def observe(self, name: str, value: float, **labels: str) -> None:
-        pass
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        pass
-
-    def stage(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
-    def stage_states(self) -> dict[str, tuple]:
-        return {}
-
-    def stage_deltas(self, before: dict[str, tuple]) -> dict[str, tuple]:
-        return {}
-
-    def merge_stage_deltas(self, deltas: dict[str, tuple]) -> None:
         pass
 
     def snapshot(self):

@@ -7,24 +7,21 @@ Traces are identified by a short hex ``trace_id`` carried in the root
 span's attributes, surfaced through ``CleaningStats.trace_id`` so log
 lines, batch output, and flight-recorder entries can be correlated.
 
-Two implementations share one interface, mirroring
-``NULL_METRICS``/``NULL_FAULTS``:
-
-* :class:`Tracer` — the live tracer.  ``begin``/``end`` bracket a
-  trace; ``span`` is a context manager for nested stages; ``event``
-  and ``annotate`` attach data to the innermost open span.  Finished
-  traces land in :attr:`Tracer.last_trace`.
-* :data:`NULL_TRACER` — the disabled singleton.  Every hook is a
-  no-op and hot code guards its ``perf_counter`` calls behind
-  ``tracer.enabled``, so the disabled path costs one attribute load
-  per instrumentation point (``benchmarks/bench_serving.py`` asserts
-  the overhead stays inside the metrics ceiling).
+:class:`Tracer` is one span stack: ``begin``/``end`` bracket a trace;
+``span`` is a context manager for nested stages; ``event`` and
+``annotate`` attach data to the innermost open span.  Finished traces
+land in :attr:`Tracer.last_trace`.  A stack serves one request at a
+time, so the serving path never shares one: a service's tracer is only
+its on switch (and where the latest finished trace is published), and
+every request opens its own stack through
+:class:`~repro.obs.context.Context`, whose ``stage()`` times a stage
+and, when tracing, its span with one pair of clock reads.
 
 Spans are plain ``__slots__`` objects built from picklable primitives,
-so a pool worker can run its own :class:`Tracer`, return the finished
-subtree in its result payload, and the parent can stitch it under the
-service span with :meth:`Tracer.attach` — one coherent tree per query
-even when the scoring happened in another process.
+so a pool worker can trace its own task, return the finished subtree
+in its result payload, and the parent can stitch it under the service
+span with :meth:`Tracer.attach` — one coherent tree per query even
+when the scoring happened in another process.
 
 Budgets: a trace holds at most ``max_spans`` spans and each span at
 most ``max_events`` events; excess ones are counted (``spans_dropped``
@@ -155,14 +152,12 @@ class _SpanContext:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._span is not None and exc_type is not None:
             self._span.attributes["error"] = exc_type.__name__
-        self._tracer._pop(self._span)
+        self._tracer._pop(self._span, perf_counter())
         return False
 
 
 class Tracer:
-    """The live tracer (see module docstring)."""
-
-    enabled = True
+    """One span stack (see module docstring)."""
 
     __slots__ = (
         "max_spans", "max_events", "trace_id", "last_trace",
@@ -231,7 +226,10 @@ class Tracer:
 
     # -- span lifecycle -----------------------------------------------
 
-    def _push(self, name: str, attributes: dict) -> Span | None:
+    def _push(self, name: str, attributes: dict,
+              began: float | None = None) -> Span | None:
+        """Open a child span whose duration counts from ``began``
+        (a ``perf_counter`` reading; now when omitted)."""
         if self._root is None:
             return None
         if self._span_count >= self.max_spans:
@@ -240,16 +238,17 @@ class Tracer:
         span = Span(name, attributes=attributes)
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        self._starts.append(perf_counter())
+        self._starts.append(perf_counter() if began is None else began)
         self._span_count += 1
         return span
 
-    def _pop(self, span: Span | None) -> None:
+    def _pop(self, span: Span | None, now: float) -> None:
+        """Close ``span``; its duration runs to the reading ``now``."""
         if span is None or not self._stack:
             return
         if self._stack[-1] is span:
             self._stack.pop()
-            span.duration = perf_counter() - self._starts.pop()
+            span.duration = now - self._starts.pop()
 
     def span(self, name: str, **attributes: Any) -> _SpanContext:
         """Context manager opening a child span of the current span.
@@ -292,50 +291,6 @@ class Tracer:
             return
         self._span_count += size
         self._stack[-1].children.append(span)
-
-
-class NullTracer:
-    """Disabled tracer: every hook is a no-op (the hot-path default)."""
-
-    enabled = False
-
-    trace_id = None
-    last_trace = None
-
-    __slots__ = ()
-
-    def begin(self, name: str, trace_id: str | None = None,
-              **attributes: Any) -> None:
-        return None
-
-    def end(self) -> None:
-        return None
-
-    def current(self) -> None:
-        return None
-
-    def span(self, name: str, **attributes: Any) -> "NullTracer":
-        return self
-
-    def event(self, name: str, **attributes: Any) -> None:
-        pass
-
-    def annotate(self, **attributes: Any) -> None:
-        pass
-
-    def attach(self, span: Span) -> None:
-        pass
-
-    # ``span`` doubles as its own no-op context manager.
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-#: The shared disabled tracer; safe to use as a default everywhere.
-NULL_TRACER = NullTracer()
 
 
 def format_trace(root: Span, indent: int = 0) -> str:

@@ -4,7 +4,12 @@ import math
 
 import pytest
 
-from repro.core.result_type import ResultTypeConfig, ResultTypeFinder
+from repro.core import result_type
+from repro.core.result_type import (
+    DEFAULT_TYPE_CACHE_SIZE,
+    ResultTypeConfig,
+    ResultTypeFinder,
+)
 from repro.exceptions import ConfigurationError
 from repro.index.corpus import build_corpus_index
 from repro.xmltree.builder import paper_example_tree
@@ -128,20 +133,26 @@ class TestConfigValidation:
             ResultTypeConfig(min_depth=0)
 
     def test_cache_size_bound(self):
-        with pytest.raises(ConfigurationError):
-            ResultTypeConfig(cache_size=0)
-        # None (unbounded) and 1 are both legal.
-        assert ResultTypeConfig(cache_size=None).cache_size is None
-        assert ResultTypeConfig(cache_size=1).cache_size == 1
+        # The LRU bound is a constant, not a knob: no config sets it.
+        assert DEFAULT_TYPE_CACHE_SIZE >= 1
+        with pytest.raises(TypeError):
+            ResultTypeConfig(cache_size=1)
 
 
 class TestCacheLRU:
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
     def bounded(self, corpus, size):
+        """A finder whose LRU holds ``size`` entries (``None``: the
+        production bound, far above what these tests insert)."""
+        if size is not None:
+            self.monkeypatch.setattr(
+                result_type, "DEFAULT_TYPE_CACHE_SIZE", size
+            )
         return ResultTypeFinder(
-            corpus,
-            ResultTypeConfig(
-                reduction=0.8, min_depth=2, cache_size=size
-            ),
+            corpus, ResultTypeConfig(reduction=0.8, min_depth=2)
         )
 
     def test_eviction_keeps_bound(self, corpus):

@@ -10,6 +10,8 @@ from repro.core.config import XCleanConfig
 from repro.core.server import SuggestionService
 from repro.exceptions import ConfigurationError, Overloaded
 from repro.index.corpus import build_corpus_index
+from repro.obs import MetricsRegistry
+from repro.obs.context import Context
 from repro.obs.export import validate_chrome_trace
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
@@ -97,6 +99,28 @@ class TestScoreSpan:
             root = service.tracer.last_trace
         assert root.name == "request"
         self.assert_score_inside_merge(root)
+
+
+class TestOneClock:
+    """A stage's histogram observation and its span duration are one
+    clock reading, so a traced request's spans match its metrics."""
+
+    def test_spans_equal_stage_observations(self, corpus):
+        registry = MetricsRegistry()
+        with make_service(corpus, metrics=registry) as service:
+            service.suggest("icdt tre", 5)
+            root = service.tracer.last_trace
+        for name in ("tokenize", "variant_gen", "merge", "variant",
+                     "type_infer"):
+            spans = [span for span in root.walk() if span.name == name]
+            observed = registry.stage_histogram(name)
+            assert spans and observed.count == len(spans), name
+            assert observed.sum == sum(s.duration for s in spans), name
+        (score,) = [span for span in root.walk() if span.name == "score"]
+        assert score.attributes == {"aggregated": True}
+        observed = registry.stage_histogram("score")
+        assert observed.count == 1
+        assert observed.sum == score.duration > 0.0
 
 
 class TestPoolTraceStitching:
@@ -360,7 +384,6 @@ class TestPoolTaskClock:
         from repro.obs.trace import Span
 
         with make_service(corpus) as service:
-            tracer = service.tracer
             # Simulate: the wall clock stepped forward a full hour
             # after submission, while only ~0.2 monotonic seconds of
             # real work elapsed.
@@ -372,16 +395,16 @@ class TestPoolTaskClock:
             answer = (
                 [],
                 CleaningStats(),
-                {"span": worker_span},
+                {"timings": [], "span": worker_span},
             )
-            tracer.begin("request")
-            try:
+            with Context.request(
+                service.metrics_registry, service.tracer, "request"
+            ) as ctx:
                 result = service._absorb_worker_answer(
                     ("icdt tre", 5, None), answer,
-                    submitted_at, submitted_perf,
+                    submitted_at, submitted_perf, ctx,
                 )
-            finally:
-                root = tracer.end()
+            root = ctx.root
             assert result == ([], answer[1])
             task_span = root.find("pool.task")
             assert task_span is not None
@@ -400,7 +423,6 @@ class TestPoolTaskClock:
         from repro.obs.trace import Span
 
         with make_service(corpus) as service:
-            tracer = service.tracer
             submitted_at = real_time.time()
             submitted_perf = perf_counter()
             # Worker claims more time than the parent measured (its
@@ -409,15 +431,17 @@ class TestPoolTaskClock:
             worker_span = Span(
                 "worker", start=submitted_at, duration=123.0
             )
-            answer = ([], CleaningStats(), {"span": worker_span})
-            tracer.begin("request")
-            try:
+            answer = (
+                [], CleaningStats(), {"timings": [], "span": worker_span}
+            )
+            with Context.request(
+                service.metrics_registry, service.tracer, "request"
+            ) as ctx:
                 service._absorb_worker_answer(
                     ("icdt tre", 5, None), answer,
-                    submitted_at, submitted_perf,
+                    submitted_at, submitted_perf, ctx,
                 )
-            finally:
-                root = tracer.end()
+            root = ctx.root
             task_span = root.find("pool.task")
             assert task_span.duration >= 123.0
             assert task_span.children == [worker_span]

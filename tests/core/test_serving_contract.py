@@ -10,6 +10,8 @@ over one replica pool per shard.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.exceptions import ConfigurationError, Overloaded, QueryError
 from repro.index.corpus import build_corpus_index
 from repro.index.sharding import build_sharded_snapshot
 from repro.index.snapshot import build_snapshot, load_snapshot
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
@@ -193,3 +196,99 @@ class TestFlightRecord:
         lines = [json.loads(line) for line in payload.splitlines()]
         assert len(lines) >= 3
         assert any(line.get("query") == QUERY for line in lines)
+
+
+def distinct_misses(count):
+    """Distinct misspelled two-keyword queries: every one a cache miss
+    with a viable candidate space (each keyword one edit from a word)."""
+    letters = "abcfghjklmnopqrsuvwxyz"
+    queries = [f"icd{a} tre{b}" for a in letters for b in letters]
+    assert len(queries) >= count
+    return queries[:count]
+
+
+def run_concurrently(threads, work):
+    """Run ``work(index)`` on ``threads`` threads released together,
+    switching between them often; re-raises the first failure."""
+    barrier = threading.Barrier(threads)
+    errors = []
+
+    def body(index):
+        try:
+            barrier.wait()
+            work(index)
+        except BaseException as error:  # surfaced below
+            errors.append(error)
+
+    pool = [
+        threading.Thread(target=body, args=(index,))
+        for index in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    if errors:
+        raise errors[0]
+
+
+def assert_one_trace_per_request(recorder, answers, engine_span):
+    """Each caller's id names one flight entry holding its own tree."""
+    entries = list(recorder.entries())
+    for trace_id, (query, stats_trace_id) in answers.items():
+        assert stats_trace_id == trace_id
+        mine = [entry for entry in entries if entry.trace_id == trace_id]
+        assert len(mine) == 1, trace_id
+        entry = recorder.find(trace_id)
+        assert entry is mine[0]
+        assert entry.query == query
+        root = entry.trace
+        assert root.attributes["trace_id"] == trace_id
+        assert root.attributes["query"] == query
+        names = [span.name for span in root.walk()]
+        assert names.count("request") == 1
+        assert names.count(engine_span) == 1, (trace_id, names)
+        assert "spans_dropped" not in root.attributes
+
+
+class TestConcurrentTracing:
+    """Overlapping traced requests never share a span stack: one
+    correlation id joins exactly one request's stats, trace and flight
+    entry, however the requests interleave."""
+
+    THREADS = 4
+    PER_THREAD = 50
+
+    def test_each_request_owns_its_trace(self, make):
+        total = self.THREADS * self.PER_THREAD
+        service = make(
+            tracer=Tracer(),
+            flight_recorder=FlightRecorder(capacity=2 * total),
+        )
+        queries = distinct_misses(total)
+        answers = {}
+
+        def caller(index):
+            for number in range(self.PER_THREAD):
+                query = queries[index * self.PER_THREAD + number]
+                trace_id = f"caller{index}-{number}"
+                _, stats = service.suggest_detailed(
+                    query, 5, trace_id=trace_id
+                )
+                answers[trace_id] = (query, stats.trace_id)
+
+        run_concurrently(self.THREADS, caller)
+        assert len(answers) == total
+        assert service.stats.result_cache_misses == total
+        engine_span = (
+            "merge" if isinstance(service, SuggestionService) else "gather"
+        )
+        assert_one_trace_per_request(
+            service.flight_recorder, answers, engine_span
+        )

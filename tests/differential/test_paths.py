@@ -19,7 +19,8 @@ IV model) to a relative 1e-9; every suggestion returns at least one
 ``EntitySearch`` result (the paper's validity guarantee); the linear
 mode reads exactly what the galloping run reads plus skips; a replay
 repeats the cold counters; and at γ ∈ {1, 4} in-loop pruning changes
-nothing.
+nothing — every prune, scored the unpruned way, would have been
+rejected by the accumulator.
 
 The SLCA and ELCA suggesters (Section VI-B) run the same loop: their
 ``score_all`` is identical cold, on replay, in linear mode and over the
@@ -37,6 +38,7 @@ import pytest
 from repro.core.candidates import CandidateSpace
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.language_model import DEFAULT_MU
 from repro.core.naive import NaiveCleaner
 from repro.core.search import EntitySearch
 from repro.core.server import SuggestionService
@@ -285,6 +287,30 @@ class TestPaths:
             # A one-slot table saturates at once: the prune must fire.
             assert pruned_total > 0
 
+
+    @pytest.mark.parametrize("mu", (DEFAULT_MU, 1e-6))
+    @pytest.mark.parametrize("gamma", (1, 4))
+    def test_every_prune_is_exact(self, case, gamma, mu):
+        # Each in-loop prune, scored the unpruned way, would have been
+        # rejected by ``pool.add``: its exact incoming estimate is under
+        # both the bound that pruned it and the accumulator floor.  At
+        # the default μ the Dirichlet terms sit far below 1 and the
+        # bound is loose; near μ=0 a one-token entity's term is ~1, the
+        # bound is nearly tight, and an unsound one shows.
+        suggester = XCleanSuggester(
+            case.corpus, config=XCleanConfig(gamma=gamma, mu=mu)
+        )
+        prunes = 0
+        for query in case.queries:
+            explanation = suggester.suggest_explained(query, K)
+            notes = explanation.kernel_prunes
+            assert len(notes) == suggester.last_stats.kernel_pruned
+            for note in notes:
+                assert note.exact <= note.upper_bound, (query, note)
+                assert note.exact < note.floor, (query, note)
+            prunes += len(notes)
+        if gamma == 1:
+            assert prunes > 0
 
 #: Section VI-B semantics: suggester and brute-force entity roots.
 LCA_SEMANTICS = {

@@ -333,3 +333,76 @@ class TestSearchCommand:
         assert main(
             ["search", "--index", index_path, "--query", "journal"]
         ) == 0
+
+
+@pytest.fixture(scope="module")
+def paper_indexes(tmp_path_factory):
+    """The paper's example tree as one snapshot and as 2 shards."""
+    from repro.index.sharding import build_sharded_snapshot
+    from repro.index.snapshot import build_snapshot
+
+    root = tmp_path_factory.mktemp("cli_shards")
+    corpus = build_corpus_index(XMLDocument(paper_example_tree()))
+    snapshot = str(root / "paper.xcs3")
+    build_snapshot(corpus, snapshot)
+    shards = str(root / "shards")
+    build_sharded_snapshot(corpus, shards, 2)
+    queries = root / "queries.txt"
+    queries.write_text("icdt tre\ntrie icde\n")
+    return {"snapshot": snapshot, "shards": shards,
+            "queries": str(queries)}
+
+
+class TestShardDirectoryIndex:
+    """Every ``--index`` reader accepts a shard directory: the serving
+    commands answer through the coordinator, and the single-corpus
+    commands refuse it with one ``error:`` line (never ``[Errno 21]``)."""
+
+    SERVED = {
+        "suggest": ["suggest", "--query", "icdt tre", "-k", "3"],
+        "metrics": ["metrics", "--queries", "{queries}",
+                    "--format", "json"],
+    }
+    SINGLE_CORPUS = {
+        "explain": ["explain", "--query", "icdt tre"],
+        "trace": ["trace", "--query", "icdt tre"],
+        "search": ["search", "--query", "icdt"],
+        "chaos": ["chaos", "--queries", "{queries}",
+                  "--plan", "worker.init:raise"],
+        "suggest-slca": ["suggest", "--query", "icdt tre",
+                         "--semantics", "slca"],
+    }
+
+    @staticmethod
+    def argv(template, paper_indexes, index):
+        argv = [part.format(**paper_indexes) for part in template]
+        return argv[:1] + ["--index", paper_indexes[index]] + argv[1:]
+
+    @pytest.mark.parametrize(
+        "command", sorted({**SERVED, **SINGLE_CORPUS})
+    )
+    def test_shard_directory(self, command, paper_indexes, capsys):
+        capsys.readouterr()
+        if command in self.SERVED:
+            template = self.SERVED[command]
+            assert main(self.argv(template, paper_indexes, "shards")) == 0
+            sharded = capsys.readouterr().out
+            if command == "suggest":
+                # The coordinator's answer is the single index's answer.
+                assert main(
+                    self.argv(template, paper_indexes, "snapshot")
+                ) == 0
+                assert sharded == capsys.readouterr().out
+                assert "(no suggestions)" not in sharded
+            else:
+                stages = json.loads(sharded)["stages"]
+                assert {"scatter", "gather", "merge"} <= set(stages)
+            return
+        template = self.SINGLE_CORPUS[command]
+        assert main(self.argv(template, paper_indexes, "shards")) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "shard manifest" in lines[0]
+        assert "Errno" not in lines[0]

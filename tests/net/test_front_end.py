@@ -98,7 +98,7 @@ class GatedSuggester:
         self.calls_lock = threading.Lock()
         self.last_stats = CleaningStats()
 
-    def suggest(self, query, k=10):
+    def suggest(self, query, k=10, ctx=None):
         with self.calls_lock:
             self.calls += 1
         assert self.gate.wait(timeout=10), "test never released the gate"

@@ -32,6 +32,7 @@ from repro.index.wal import WalRecord
 from repro.net.server import HTTPFrontEnd, ServeConfig
 from repro.obs import MetricsRegistry
 from repro.obs.logging import RequestLog, read_jsonl
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
@@ -527,6 +528,74 @@ class TestCorrelationId:
         assert line["coalesced"] is False
         assert line["latency_s"] >= 0
         assert line["ts"] > 0
+
+    def test_concurrent_requests_keep_their_own_ids(
+        self, corpus, tmp_path
+    ):
+        # Eight clients at once, each request with its own id and its
+        # own (cache-missing) query: every id still names exactly one
+        # span tree, flight entry and access-log line — its own.  A
+        # small injected delay inside each computation keeps requests
+        # overlapping in the executor on every run.
+        clients, per_client = 8, 25
+        letters = "abcfghjklmnopqrsuvwxyz"
+        queries = [f"icd{a} tre{b}" for a in letters for b in letters]
+        log_path = str(tmp_path / "access.jsonl")
+
+        def client(index):
+            sent = {}
+            for number in range(per_client):
+                query = queries[index * per_client + number]
+                request_id = f"client{index}-req{number}"
+                status, headers, _ = get(
+                    fe_port, "/suggest?q=" + query.replace(" ", "+")
+                    + "&k=3", {"X-Request-Id": request_id},
+                )
+                assert status == 200
+                assert headers["X-Request-Id"] == request_id
+                sent[request_id] = query
+            return sent
+
+        async def main(service, log):
+            nonlocal fe_port
+            async with front_end(service, request_log=log) as fe:
+                fe_port = fe.port
+                results = await asyncio.gather(*(
+                    asyncio.to_thread(client, index)
+                    for index in range(clients)
+                ))
+            return {key: value for sent in results
+                    for key, value in sent.items()}
+
+        fe_port = None
+        retained = 2 * clients * per_client
+        recorder = FlightRecorder(
+            capacity=retained, notable_capacity=retained
+        )
+        with make_service(
+            corpus,
+            config=XCleanConfig(
+                max_errors=1, fault_plan="variant.gen:delay=0.002"
+            ),
+            tracer=Tracer(),
+            flight_recorder=recorder,
+        ) as service:
+            sent = asyncio.run(main(service, RequestLog(log_path)))
+        assert len(sent) == clients * per_client
+        entries = list(recorder.entries())
+        assert len(entries) == len(sent)
+        for request_id, query in sent.items():
+            mine = [e for e in entries if e.trace_id == request_id]
+            assert len(mine) == 1, request_id
+            (entry,) = mine
+            assert entry.query == query
+            names = [span.name for span in entry.trace.walk()]
+            assert names.count("request") == 1
+            assert names.count("merge") == 1, (request_id, names)
+        logged = {
+            line["id"]: line["query"] for line in read_jsonl(log_path)
+        }
+        assert logged == sent
 
     def test_invalid_inbound_id_is_replaced(self, corpus):
         async def main():

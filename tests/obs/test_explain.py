@@ -14,6 +14,7 @@ from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.eval.experiments import dblp_setting
 from repro.index.corpus import build_corpus_index
+from repro.obs.explain import ScoreRecorder
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -213,12 +214,23 @@ class TestExplanationShape:
         assert "P(Q|C)" in text
         assert "U(C," in text
 
-    def test_recorder_detaches_after_explain(self, corpus):
+    def test_recorder_detaches_after_explain(self, corpus, monkeypatch):
+        fed = []
+        original = ScoreRecorder.group
+
+        def group(recorder, *args):
+            fed.append(recorder)
+            original(recorder, *args)
+
+        monkeypatch.setattr(ScoreRecorder, "group", group)
         suggester = make_suggester(corpus)
         suggester.suggest_explained("icdt tre", 3)
-        assert suggester._recorder is None
-        # A later plain suggest is unaffected.
+        assert fed
+        explained = len(fed)
+        # The recorder rode the explain run's own context: a later
+        # plain suggest is unaffected and feeds no recorder.
         assert suggester.suggest("icdt tre", 3)
+        assert len(fed) == explained
 
     def test_unanswerable_query_has_no_candidates(self, corpus):
         suggester = make_suggester(corpus)

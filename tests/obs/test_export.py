@@ -21,8 +21,8 @@ class TestPrometheusText:
 
     def test_histogram_ends_with_inf_bucket(self):
         registry = MetricsRegistry()
-        registry.observe_stage("merge", 0.002)
-        registry.observe_stage("merge", 99.0)  # beyond every bound
+        registry.stage_histogram("merge").observe(0.002)
+        registry.stage_histogram("merge").observe(99.0)  # beyond every bound
         text = registry.to_prometheus()
         inf_line = next(
             line for line in text.splitlines()
@@ -116,7 +116,7 @@ class TestPrometheusText:
         registry.inc("queries_total", outcome="served")
         registry.inc("odd_total", q='say "hi"\\now\nnext')
         registry.set_gauge("slo_availability", 1.0, window="1m")
-        registry.observe_stage("merge", 0.004)
+        registry.stage_histogram("merge").observe(0.004)
         text = registry.to_prometheus()
         assert text.endswith("\n")
         families_seen = set()

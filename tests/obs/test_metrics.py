@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     NULL_METRICS,
+    Context,
     Histogram,
     MetricsRegistry,
 )
@@ -75,15 +76,19 @@ class TestHistogram:
 class TestStageTimers:
     def test_stage_records_into_stage_histogram(self):
         registry = MetricsRegistry()
-        with registry.stage("merge"):
+        with Context(registry).stage("merge") as stage:
             pass
         h = registry.histogram("stage_seconds", stage="merge")
         assert h.count == 1
-        assert h.sum >= 0.0
+        assert h.sum == stage.seconds >= 0.0
 
     def test_observe_stage_shortcut(self):
+        # An aggregated stage records the time its owner summed by
+        # hand, once, when it closes.
         registry = MetricsRegistry()
-        registry.observe_stage("score", 0.25)
+        with Context(registry).stage("score", aggregated=True) as stage:
+            stage.seconds += 0.125
+            stage.seconds += 0.125
         h = registry.histogram("stage_seconds", stage="score")
         assert h.count == 1
         assert h.sum == pytest.approx(0.25)
@@ -93,8 +98,8 @@ class TestSnapshotExport:
     def make_registry(self):
         registry = MetricsRegistry()
         registry.inc("queries_total", 3)
-        registry.observe_stage("tokenize", 0.0002)
-        registry.observe_stage("tokenize", 0.0004)
+        registry.stage_histogram("tokenize").observe(0.0002)
+        registry.stage_histogram("tokenize").observe(0.0004)
         registry.observe("request_seconds", 0.01)
         return registry
 
@@ -138,68 +143,6 @@ class TestSnapshotExport:
         assert 'stage="we\\"ird\\\\"' in text
 
 
-class TestStageDeltas:
-    """Cross-process stage-timer merging (pool workers -> parent)."""
-
-    def test_state_and_merge_state_are_exact(self):
-        source = Histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            source.observe(value)
-        target = Histogram("lat", buckets=(0.1, 1.0))
-        target.merge_state(*source.state())
-        assert target.counts == source.counts
-        assert target.sum == source.sum
-        assert target.count == source.count
-
-    def test_merge_state_rejects_mismatched_buckets(self):
-        source = Histogram("lat", buckets=(0.1, 1.0))
-        source.observe(0.5)
-        target = Histogram("lat", buckets=(0.1,))
-        with pytest.raises(ValueError):
-            target.merge_state(*source.state())
-
-    def test_stage_deltas_only_report_movement(self):
-        registry = MetricsRegistry()
-        registry.observe_stage("tokenize", 0.001)
-        before = registry.stage_states()
-        registry.observe_stage("merge", 0.002)
-        deltas = registry.stage_deltas(before)
-        assert set(deltas) == {"merge"}
-
-    def test_worker_to_parent_merge_is_tally_exact(self):
-        worker = MetricsRegistry()
-        before = worker.stage_states()
-        worker.observe_stage("merge", 0.002)
-        worker.observe_stage("merge", 0.004)
-        worker.observe_stage("score", 0.001)
-        parent = MetricsRegistry()
-        parent.observe_stage("merge", 0.01)
-        parent.merge_stage_deltas(worker.stage_deltas(before))
-        merged = parent.histogram("stage_seconds", stage="merge")
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(0.016)
-        assert parent.histogram(
-            "stage_seconds", stage="score"
-        ).count == 1
-
-    def test_merge_skips_mismatched_layouts(self):
-        worker = MetricsRegistry(buckets=(0.1, 1.0))
-        before = worker.stage_states()
-        worker.observe_stage("merge", 0.5)
-        parent = MetricsRegistry()  # default bucket layout
-        parent.merge_stage_deltas(worker.stage_deltas(before))
-        assert parent.histogram(
-            "stage_seconds", stage="merge"
-        ).count == 0
-
-    def test_custom_registry_buckets_apply_to_stages(self):
-        registry = MetricsRegistry(buckets=(0.5, 2.0))
-        registry.observe_stage("merge", 1.0)
-        h = registry.histogram("stage_seconds", stage="merge")
-        assert tuple(h.buckets) == (0.5, 2.0)
-        assert h.counts == [0, 1]
-
-
 class TestNullMetrics:
     def test_disabled_flag(self):
         assert NULL_METRICS.enabled is False
@@ -207,10 +150,9 @@ class TestNullMetrics:
     def test_all_hooks_are_noops(self):
         NULL_METRICS.inc("a_total")
         NULL_METRICS.observe("b_seconds", 1.0)
-        NULL_METRICS.observe_stage("merge", 1.0)
         NULL_METRICS.counter("a_total").inc()
         NULL_METRICS.histogram("b_seconds").observe(1.0)
-        with NULL_METRICS.stage("merge"):
+        with Context(NULL_METRICS).stage("merge"):
             pass
         assert NULL_METRICS.snapshot().as_dict()["counters"] == {}
 

@@ -2,9 +2,9 @@
 
 import pickle
 
+from repro.obs.context import Context
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     format_trace,
@@ -211,19 +211,23 @@ class TestSpanSerialization:
 
 
 class TestNullTracer:
+    """Tracing off is a context without a span stack: every trace
+    hook is a no-op (the role the old null tracer played)."""
+
     def test_disabled_flag(self):
-        assert NULL_TRACER.enabled is False
-        assert Tracer().enabled is True
+        assert Context().trace is None
+        with Context.request(NULL_METRICS, Tracer(), "request") as on:
+            assert on.trace is not None
+        with Context.request(NULL_METRICS, None, "request") as off:
+            assert off.trace is None
 
     def test_all_hooks_are_noops(self):
-        tracer = NullTracer()
-        assert tracer.begin("request") is None
-        with tracer.span("merge", x=1) as span:
-            assert span is None
-        tracer.event("e")
-        tracer.annotate(a=1)
-        tracer.attach(Span("worker"))
-        assert tracer.end() is None
-        assert tracer.current() is None
-        assert tracer.trace_id is None
-        assert tracer.last_trace is None
+        ctx = Context.request(NULL_METRICS, None, "request")
+        with ctx:
+            with ctx.stage("merge", x=1) as stage:
+                assert stage.span is None
+            ctx.event("e")
+            ctx.annotate(a=1)
+            ctx.absorb([], Span("worker"), "pool.task", 0.0, 0.0)
+        assert ctx.root is None
+        assert ctx.trace_id is None
