@@ -351,39 +351,18 @@ class CorpusIndex(QueryEngineMixin):
 _DICT_ENTRY_BYTES = 104
 
 
-def _bucket_table_bytes(buckets: dict[str, list[str]]) -> int:
-    """Approximate bytes of one FastSS signature → tokens table.
-
-    Token strings are shared with the vocabulary, so each bucket slot
-    is charged a pointer, not the string.
-    """
-    sizeof = sys.getsizeof
-    total = sizeof(buckets)
-    for signature, tokens in buckets.items():
-        total += sizeof(signature) + sizeof(tokens) + 8 * len(tokens)
-    return total
-
-
 def fastss_bucket_bytes(generator) -> int:
-    """Approximate bytes held by a generator's FastSS bucket tables.
+    """Bytes held by a generator's FastSS bucket tables.
 
     Accepts a :class:`~repro.fastss.generator.VariantGenerator` or a
-    bare variant index; handles both the plain and the partitioned
-    (short + prefix + suffix tables) layouts.
+    bare variant index; sums the digest, start and id columns of every
+    table (one plain table, or short + prefix + suffix).
     """
     index = getattr(generator, "_index", generator)
-    total = 0
-    buckets = getattr(index, "_buckets", None)
-    if buckets is not None:
-        total += _bucket_table_bytes(buckets)
-    short = getattr(index, "_short", None)
-    if short is not None:
-        total += _bucket_table_bytes(short._buckets)
-    for attr in ("_prefix_buckets", "_suffix_buckets"):
-        table = getattr(index, attr, None)
-        if table is not None:
-            total += _bucket_table_bytes(table)
-    return total
+    tables = getattr(index, "tables", None)
+    if tables is None:
+        return 0
+    return sum(table.nbytes for table in tables().values())
 
 
 def approximate_index_bytes(index, generator=None) -> dict[str, int]:

@@ -482,11 +482,16 @@ def build_sharded_snapshot(
         index, shards, partition_depth, strategy
     )
     if generator is None and fastss_max_errors is not None:
-        # Built once over the global vocabulary, embedded N times.
+        # Built once over the global vocabulary, embedded N times.  In
+        # the snapshot's byte order its token ids are the vocabulary
+        # ranks every shard shares, so each shard gets the same bytes.
         from repro.fastss.generator import VariantGenerator
 
         generator = VariantGenerator(
-            [row[0] for row in index.vocabulary.export_rows()],
+            sorted(
+                (row[0] for row in index.vocabulary.export_rows()),
+                key=lambda token: token.encode("utf-8"),
+            ),
             max_errors=fastss_max_errors,
         )
     lengths = index.subtree_token_counts

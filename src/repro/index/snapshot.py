@@ -50,11 +50,20 @@ post_tfs       i     posting term frequencies (parallel)
 pidx_starts    q     ``n_tokens+1`` offsets into the f_w^p pairs
 pidx_pids      i     path ids of the f_w^p pairs (sorted per token)
 pidx_counts    q     f_w^p per ``pidx_pids`` entry (Eq. 7)
-fss_?_off      I     [optional] bucket-signature offsets (?: s/p/x =
-fss_?_blob     blob  short/prefix/suffix table); signatures sorted by
-fss_?_starts   q     UTF-8 bytes; ``starts`` spans token-id runs in
-fss_?_tok      i     ``tok`` (vocabulary token ids)
+fsd_?_key      q     [optional] FastSS bucket table (?: s/p/x = short/
+                     prefix/suffix): distinct signature digests, sorted
+fsd_?_start    q     ``len(key)+1`` offsets: bucket i is
+                     ``ids[start[i]:start[i+1]]``
+fsd_?_ids      i     vocabulary token ids, per bucket
 =============  ====  =====================================================
+
+A signature's digest is ``blake2b(signature, digest_size=8)`` read as
+a little-endian int64 (:mod:`repro.fastss.table`); signatures whose
+digests collide share a bucket, which only widens the candidate set
+that verification filters.  Files written before these tables carry
+``fss_*`` sections instead; they are unknown now, so such a file, like
+one built without FastSS, rebuilds its variant index from the
+vocabulary on first use.
 
 Versioning rules: the magic changes only on incompatible layout
 changes; unknown *extra* sections are ignored by loaders (forward
@@ -90,6 +99,7 @@ from repro.fastss.generator import (
     VariantGenerator,
 )
 from repro.fastss.index import FastSSIndex, PartitionedFastSSIndex
+from repro.fastss.table import SignatureTable
 from repro.index.atomic import atomic_write
 from repro.index.corpus import CorpusIndex, QueryEngineMixin
 from repro.index.inverted import InvertedList, PackedInvertedList
@@ -138,22 +148,19 @@ _SECTION_FORMATS: dict[str, str | None] = {
     "pidx_starts": "q",
     "pidx_pids": "i",
     "pidx_counts": "q",
-    "fss_s_off": "I",
-    "fss_s_blob": None,
-    "fss_s_starts": "q",
-    "fss_s_tok": "i",
-    "fss_p_off": "I",
-    "fss_p_blob": None,
-    "fss_p_starts": "q",
-    "fss_p_tok": "i",
-    "fss_x_off": "I",
-    "fss_x_blob": None,
-    "fss_x_starts": "q",
-    "fss_x_tok": "i",
+    "fsd_s_key": "q",
+    "fsd_s_start": "q",
+    "fsd_s_ids": "i",
+    "fsd_p_key": "q",
+    "fsd_p_start": "q",
+    "fsd_p_ids": "i",
+    "fsd_x_key": "q",
+    "fsd_x_start": "q",
+    "fsd_x_ids": "i",
 }
 
 _REQUIRED_SECTIONS = tuple(
-    name for name in _SECTION_FORMATS if not name.startswith("fss_")
+    name for name in _SECTION_FORMATS if not name.startswith("fsd_")
 )
 
 #: Sections the fast loader materializes into Python objects, all
@@ -201,31 +208,6 @@ def _le_bytes(column: array) -> bytes:
         column = array(column.typecode, column)
         column.byteswap()
     return column.tobytes()
-
-
-def _bucket_sections(
-    buckets: dict[str, list[str]], token_ids: dict[str, int]
-) -> tuple[bytes, bytes, bytes, bytes]:
-    """Serialize one FastSS bucket table (off, blob, starts, tok)."""
-    signatures = sorted(buckets, key=lambda s: s.encode("utf-8"))
-    off, blob = _string_table(signatures)
-    starts = array("q", [0])
-    tokens = array("i")
-    total = 0
-    for signature in signatures:
-        members = buckets[signature]
-        for token in members:
-            member_id = token_ids.get(token)
-            if member_id is None:
-                raise StorageError(
-                    f"FastSS bucket token {token!r} is not in the "
-                    f"corpus vocabulary; snapshots can only embed "
-                    f"generators built over the corpus tokens"
-                )
-            tokens.append(member_id)
-        total += len(members)
-        starts.append(total)
-    return off, blob, _le_bytes(starts), _le_bytes(tokens)
 
 
 # Build-side fan-out state.  Set in the parent *before* the fork pool
@@ -349,7 +331,6 @@ def build_snapshot(
         key=lambda row: row[0].encode("utf-8"),
     )
     tokens = [row[0] for row in rows]
-    token_ids = {token: rank for rank, token in enumerate(tokens)}
 
     sections: list[tuple[str, bytes]] = []
 
@@ -416,9 +397,7 @@ def build_snapshot(
         )
     if generator is not None:
         variant_index = getattr(generator, "_index", generator)
-        fastss_meta = _add_fastss_sections(
-            add, variant_index, token_ids
-        )
+        fastss_meta = _add_fastss_sections(add, variant_index, tokens)
 
     tokenizer_config = index.tokenizer.config
     meta = {
@@ -451,14 +430,14 @@ def build_snapshot(
     return _write_sections(path, sections)
 
 
-def _add_fastss_sections(add, variant_index, token_ids) -> dict | None:
-    """Emit fss_* sections for a FastSS index; None if unsupported."""
+def _add_fastss_sections(add, variant_index, tokens) -> dict | None:
+    """Emit the fsd_* columns of a FastSS index; None if unsupported.
+
+    The columns are written as the index holds them.  Only when its
+    token ids are not the snapshot's vocabulary ranks (a generator
+    built in another token order) is the ids column translated.
+    """
     if isinstance(variant_index, PartitionedFastSSIndex):
-        tables = {
-            "s": variant_index._short._buckets,
-            "p": variant_index._prefix_buckets,
-            "x": variant_index._suffix_buckets,
-        }
         meta = {
             "kind": "partitioned",
             "max_errors": variant_index.max_errors,
@@ -466,11 +445,6 @@ def _add_fastss_sections(add, variant_index, token_ids) -> dict | None:
             "long_lengths": sorted(variant_index._long_lengths),
         }
     elif isinstance(variant_index, FastSSIndex):
-        tables = {
-            "s": variant_index._buckets,
-            "p": {},
-            "x": {},
-        }
         meta = {
             "kind": "plain",
             "max_errors": variant_index.max_errors,
@@ -481,12 +455,26 @@ def _add_fastss_sections(add, variant_index, token_ids) -> dict | None:
         # Unknown generator flavour (e.g. the brute-force oracle):
         # skip the sections; loaders rebuild from the vocabulary.
         return None
-    for tag, buckets in tables.items():
-        off, blob, starts, tok = _bucket_sections(buckets, token_ids)
-        add(f"fss_{tag}_off", off)
-        add(f"fss_{tag}_blob", blob)
-        add(f"fss_{tag}_starts", starts)
-        add(f"fss_{tag}_tok", tok)
+    ranked = variant_index._tokens == tokens
+    token_ids = {} if ranked else {t: r for r, t in enumerate(tokens)}
+
+    def rank(member: int) -> int:
+        token = variant_index._token(member)
+        found = token_ids.get(token)
+        if found is None:
+            raise StorageError(
+                f"FastSS bucket token {token!r} is not in the corpus "
+                f"vocabulary; snapshots can only embed generators "
+                f"built over the corpus tokens"
+            )
+        return found
+
+    for tag, table in variant_index.tables().items():
+        table = table.frozen()
+        ids = table.ids if ranked else array("i", map(rank, table.ids))
+        add(f"fsd_{tag}_key", _le_bytes(table.keys))
+        add(f"fsd_{tag}_start", _le_bytes(table.starts))
+        add(f"fsd_{tag}_ids", _le_bytes(ids))
     return meta
 
 
@@ -663,9 +651,9 @@ class _StringTable:
     """Read-only id ↔ string table over (offsets, blob) sections.
 
     ``find`` binary-searches by UTF-8 bytes and therefore requires the
-    table to be byte-sorted (vocabulary and FastSS signatures are; the
-    path table is id-ordered and only ever indexed).  Decoded strings
-    are memoized up to a bound so hot tokens decode once.
+    table to be byte-sorted (the vocabulary is; the path table is
+    id-ordered and only ever indexed).  Decoded strings are memoized
+    up to a bound so hot tokens decode once.
     """
 
     __slots__ = ("_offsets", "_blob", "_decoded")
@@ -1007,56 +995,6 @@ class _LazyInvertedIndex:
         return starts[len(starts) - 1] if len(starts) else 0
 
 
-class _SnapshotBuckets:
-    """dict-like FastSS bucket table over fss_* sections (read-only)."""
-
-    __slots__ = ("_signatures", "_starts", "_tokens", "_vocab_table")
-
-    def __init__(self, signatures: _StringTable, starts, tokens,
-                 vocab_table: _StringTable):
-        self._signatures = signatures
-        self._starts = starts
-        self._tokens = tokens
-        self._vocab_table = vocab_table
-
-    def __len__(self) -> int:
-        return len(self._signatures)
-
-    def get(self, signature: str) -> list[str] | None:
-        rank = self._signatures.find(signature)
-        if rank < 0:
-            return None
-        lo, hi = self._starts[rank], self._starts[rank + 1]
-        get_str = self._vocab_table.get_str
-        tokens = self._tokens
-        return [get_str(tokens[position]) for position in range(lo, hi)]
-
-
-class _SnapshotFastSSIndex(FastSSIndex):
-    """Read-only plain FastSS over snapshot bucket tables."""
-
-    def __init__(self, buckets, max_errors: int):
-        self.max_errors = max_errors
-        self._buckets = buckets
-        # Read-only: ``add_token`` is never used on a snapshot index.
-        self._vocabulary = set()
-
-
-class _SnapshotPartitionedFastSS(PartitionedFastSSIndex):
-    """Read-only partitioned FastSS over snapshot bucket tables."""
-
-    def __init__(self, short_buckets, prefix_buckets, suffix_buckets,
-                 max_errors: int, partition_threshold: int,
-                 long_lengths):
-        self.max_errors = max_errors
-        self.partition_threshold = partition_threshold
-        self._half_errors = max_errors // 2
-        self._short = _SnapshotFastSSIndex(short_buckets, max_errors)
-        self._prefix_buckets = prefix_buckets
-        self._suffix_buckets = suffix_buckets
-        self._long_lengths = set(long_lengths)
-
-
 # ----------------------------------------------------------------------
 # The loaded corpus
 # ----------------------------------------------------------------------
@@ -1207,7 +1145,7 @@ class SnapshotCorpusIndex(QueryEngineMixin):
     ) -> VariantGenerator:
         """A variant generator over this corpus's vocabulary.
 
-        Served from the embedded FastSS sections when present and built
+        Served from the embedded FastSS tables when present and built
         with a radius >= ``max_errors``; otherwise (no sections, or a
         larger radius requested) a fresh index is built from the
         vocabulary — correct either way, just slower to construct.
@@ -1227,39 +1165,53 @@ class SnapshotCorpusIndex(QueryEngineMixin):
         )
 
     def _fastss_index(self):
+        """The embedded FastSS index over the mapped fsd_* columns.
+
+        Wrapping the columns does no work that grows with the number
+        of signatures; each table gets only constant-time shape
+        checks.  ``None`` when the file has no such tables.
+        """
         if self._fastss is not None:
             return self._fastss
         fss_meta = self._meta.get("fastss")
-        if not fss_meta or "fss_s_off" not in self._sections.table:
+        if not fss_meta or "fsd_s_key" not in self._sections.table:
             return None
-        sections = self._sections
-        vocab_table = self.vocabulary._table
-
-        def bucket_table(tag: str) -> _SnapshotBuckets:
-            return _SnapshotBuckets(
-                _StringTable(
-                    sections.column(f"fss_{tag}_off"),
-                    sections.blob(f"fss_{tag}_blob"),
-                ),
-                sections.column(f"fss_{tag}_starts"),
-                sections.column(f"fss_{tag}_tok"),
-                vocab_table,
-            )
-
-        if fss_meta["kind"] == "partitioned":
-            self._fastss = _SnapshotPartitionedFastSS(
-                bucket_table("s"),
-                bucket_table("p"),
-                bucket_table("x"),
-                fss_meta["max_errors"],
-                fss_meta["partition_threshold"],
-                fss_meta["long_lengths"],
-            )
-        else:
-            self._fastss = _SnapshotFastSSIndex(
-                bucket_table("s"), fss_meta["max_errors"]
-            )
+        try:
+            max_errors = int(fss_meta["max_errors"])
+            token = self.vocabulary._table.get_str
+            if fss_meta["kind"] == "partitioned":
+                self._fastss = PartitionedFastSSIndex.over_tables(
+                    self._signature_table("s"),
+                    self._signature_table("p"),
+                    self._signature_table("x"),
+                    max_errors,
+                    int(fss_meta["partition_threshold"]),
+                    map(int, fss_meta["long_lengths"]),
+                    token,
+                )
+            else:
+                self._fastss = FastSSIndex.over_table(
+                    self._signature_table("s"), max_errors, token
+                )
+        except (KeyError, TypeError, ValueError) as error:
+            raise StorageError(
+                f"malformed FastSS tables in {self.snapshot_path}: "
+                f"{error!r}"
+            ) from None
         return self._fastss
+
+    def _signature_table(self, tag: str) -> SignatureTable:
+        sections = self._sections
+        keys = sections.column(f"fsd_{tag}_key")
+        starts = sections.column(f"fsd_{tag}_start")
+        ids = sections.column(f"fsd_{tag}_ids")
+        if len(starts) != len(keys) + 1 or starts[-1] != len(ids):
+            raise StorageError(
+                f"snapshot FastSS table {tag!r} has an inconsistent "
+                f"shape ({len(keys)} keys, {len(starts)} starts, "
+                f"{len(ids)} ids)"
+            )
+        return SignatureTable(keys, starts, ids)
 
     # -- introspection --------------------------------------------------
 

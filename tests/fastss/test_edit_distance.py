@@ -1,6 +1,6 @@
-"""Tests for edit distance: exact values, metric axioms, banded variant."""
+"""Tests for edit distance: exact values, metric axioms, bounded variant."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.fastss.edit_distance import (
@@ -104,3 +104,32 @@ class TestBounded:
         assert within_distance(s, t, limit) == (
             edit_distance(s, t) <= limit
         )
+
+
+#: Empty strings, non-ASCII letters, and lengths past one 64-bit word.
+wide = st.text(alphabet="abcéü日", max_size=90)
+
+
+class TestBitParallel:
+    @given(wide, wide, st.integers(min_value=0, max_value=6))
+    @example("", "", 0)
+    @example("", "é日", 2)
+    @example("a" * 70, "a" * 69 + "b", 1)
+    @example("ab" * 40, "ba" * 40, 3)
+    @example("日本語", "日本", 1)
+    def test_agrees_with_exact_dp(self, s, t, limit):
+        exact = edit_distance(s, t)
+        bounded = bounded_edit_distance(s, t, limit)
+        assert bounded == (exact if exact <= limit else None)
+
+    @given(wide, wide)
+    def test_symmetric(self, s, t):
+        assert bounded_edit_distance(s, t, 90) == bounded_edit_distance(
+            t, s, 90
+        )
+
+    def test_long_strings_exact(self):
+        s = "x" * 100 + "abc"
+        t = "x" * 100 + "acb"
+        assert bounded_edit_distance(s, t, 2) == 2
+        assert bounded_edit_distance(s, t, 1) is None

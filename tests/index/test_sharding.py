@@ -21,7 +21,7 @@ from repro.index.sharding import (
     resolve_manifest_path,
     verify_sharded,
 )
-from repro.index.snapshot import load_snapshot
+from repro.index.snapshot import _parse_table, load_snapshot
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -180,6 +180,21 @@ class TestShardSnapshots:
             shard = load_snapshot(path)
             # Global statistics are replicated into every shard.
             assert shard.vocabulary.total_tokens > 0
+
+    def test_every_shard_embeds_the_same_fastss_bytes(self, manifest):
+        tables = []
+        for path in manifest.shard_paths():
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            tables.append({
+                name: raw[offset : offset + length]
+                for name, (offset, length, _crc) in _parse_table(raw).items()
+                if name.startswith("fsd_")
+            })
+            shard = load_snapshot(path)
+            assert shard.variant_generator(2)._index is shard._fastss_index()
+        assert len(tables[0]) == 9
+        assert all(table == tables[0] for table in tables)
 
     def test_shard_postings_partition_the_corpus(
         self, manifest, corpus

@@ -140,6 +140,127 @@ class TestRoundTrip:
         assert summary["sections"] > 10
 
 
+def _sections_of(path):
+    """``[(name, payload)]`` of a snapshot, in file order."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    return [
+        (name, raw[offset : offset + length])
+        for name, (offset, length, _crc) in _parse_table(raw).items()
+    ]
+
+
+class TestFastSSTables:
+    """The mapped fsd_* tables, and files that lack them."""
+
+    @staticmethod
+    def _assert_fresh_variants(corpus, loaded):
+        fresh = VariantGenerator(corpus.vocabulary.tokens(), max_errors=2)
+        generator = loaded.variant_generator(2)
+        for token in list(corpus.vocabulary) + ["confernce", "xm", ""]:
+            assert generator.variants(token) == fresh.variants(token)
+
+    def test_default_build_embeds_digest_tables(self, snapshot_path):
+        names = dict(_sections_of(snapshot_path))
+        for tag in "spx":
+            for column in ("key", "start", "ids"):
+                assert f"fsd_{tag}_{column}" in names
+        assert not any(name.startswith("fss_") for name in names)
+        loaded = load_snapshot(snapshot_path)
+        assert loaded.variant_generator(2)._index is loaded._fastss_index()
+
+    def test_no_fastss_build_rebuilds_from_vocabulary(
+        self, corpus, tmp_path
+    ):
+        path = str(tmp_path / "bare.xcs3")
+        build_snapshot(corpus, path, fastss_max_errors=None)
+        assert not any(
+            name.startswith("fsd_") for name, _ in _sections_of(path)
+        )
+        loaded = load_snapshot(path)
+        assert loaded._fastss_index() is None
+        self._assert_fresh_variants(corpus, loaded)
+
+    def test_retired_fss_sections_are_ignored(
+        self, corpus, snapshot_path, tmp_path
+    ):
+        # A file in the older layout: FastSS meta plus fss_* sections
+        # this reader does not know, and no fsd_* tables.
+        sections = [
+            (name, payload)
+            for name, payload in _sections_of(snapshot_path)
+            if not name.startswith("fsd_")
+        ]
+        for tag in "spx":
+            for column in ("off", "blob", "starts", "tok"):
+                sections.append((f"fss_{tag}_{column}", b"\x01" * 12))
+        path = str(tmp_path / "older.xcs3")
+        _write_sections(path, sections)
+        loaded = load_snapshot(path)
+        assert loaded._meta["fastss"]["kind"] == "partitioned"
+        assert loaded._fastss_index() is None
+        self._assert_fresh_variants(corpus, loaded)
+        assert verify_snapshot(path)["sections"] == len(sections)
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("fsd_s_start", lambda data: b""),
+            ("fsd_s_start", lambda data: data[:-8]),
+            ("fsd_p_start", lambda data: data + struct.pack("<q", 0)),
+            ("fsd_x_ids", lambda data: data + struct.pack("<i", 0)),
+            ("fsd_s_key", lambda data: data[:-8]),
+        ],
+        ids=["no-starts", "starts-short", "starts-long", "ids-long",
+             "keys-short"],
+    )
+    def test_inconsistent_shape_raises_storage_error(
+        self, snapshot_path, tmp_path, name, change
+    ):
+        sections = [
+            (section, change(data) if section == name else data)
+            for section, data in _sections_of(snapshot_path)
+        ]
+        path = str(tmp_path / "shape.xcs3")
+        _write_sections(path, sections)  # valid CRCs, bad shape
+        loaded = load_snapshot(path)
+        with pytest.raises(StorageError, match="inconsistent shape"):
+            loaded.variant_generator(2)
+
+    def test_missing_partition_table_raises_storage_error(
+        self, snapshot_path, tmp_path
+    ):
+        sections = [
+            (name, data)
+            for name, data in _sections_of(snapshot_path)
+            if not name.startswith("fsd_p_")
+        ]
+        path = str(tmp_path / "partial.xcs3")
+        _write_sections(path, sections)
+        with pytest.raises(StorageError, match="malformed FastSS"):
+            load_snapshot(path).variant_generator(2)
+
+    def test_generator_in_another_token_order(self, corpus, tmp_path):
+        # Ids of a generator built in insertion order are translated to
+        # the snapshot's vocabulary ranks.
+        tokens = sorted(corpus.vocabulary.tokens(), reverse=True)
+        generator = VariantGenerator(tokens, max_errors=2)
+        path = str(tmp_path / "reordered.xcs3")
+        build_snapshot(corpus, path, generator=generator)
+        loaded = load_snapshot(path)
+        assert loaded.variant_generator(2)._index is loaded._fastss_index()
+        self._assert_fresh_variants(corpus, loaded)
+
+    def test_generator_over_foreign_tokens_rejected(
+        self, corpus, tmp_path
+    ):
+        generator = VariantGenerator(["zanzibar"], max_errors=1)
+        with pytest.raises(StorageError, match="not in the corpus"):
+            build_snapshot(
+                corpus, str(tmp_path / "x.xcs3"), generator=generator
+            )
+
+
 class TestEngineParity:
     """In-memory, v2 and v3 must agree suggestion-for-suggestion."""
 
