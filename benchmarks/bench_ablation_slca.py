@@ -8,9 +8,9 @@ datasets' RAND workloads and assert that comparison.
 
 The ms columns compare the semantics, not cache states: the packed
 view is built untimed, and every column starts from an empty
-merged-columns memo and merge-plan cache (``bump_generation``; each
-suggester's variant cache is fresh through ``fresh_cache()``), so no
-column replays another's plans.
+merged-columns memo (``bump_generation``; each suggester's variant
+cache is fresh through ``fresh_cache()``), so no column reads columns
+another merged.
 """
 
 from _common import bench_scale, emit, settings
@@ -40,7 +40,7 @@ def test_ablation_slca(benchmark):
         }
         results = {}
         for label, suggester in suggesters.items():
-            setting.corpus.bump_generation()  # cold memo and plans
+            setting.corpus.bump_generation()  # cold memo
             results[label] = evaluate_suggester(suggester, records)
         node_type, slca, elca = results.values()
         mrr[(dataset, "node-type")] = node_type.mrr

@@ -3,23 +3,23 @@
 Measures, on the synthetic DBLP dataset:
 
 * single-query latency of ``XCleanSuggester.suggest`` with warm
-  variant/merged-list/plan caches — queries/sec, p50/p95 latency, and
+  variant/merged-list caches — queries/sec, p50/p95 latency, and
   postings consumed per second;
-* **merge-only time per query** of Algorithm 1's merge loop (galloping
-  intersection + plan cache + in-loop γ-pruning) over the warm passes,
-  isolated via the stage metrics: the ``merge`` stage covers the whole
-  loop and ``score`` is observed from inside it, so ``merge - score``
-  is exactly the anchor scans, skips, group drains and entry
-  materialization;
+* **merge-only time per query** of Algorithm 1's live merge loop
+  (galloping intersection + in-loop γ-pruning) over memoized merged
+  columns, isolated via the stage metrics: the ``merge`` stage covers
+  the whole loop and ``score`` is observed from inside it, so
+  ``merge - score`` is exactly the anchor scans, skips, group drains
+  and entry materialization;
 * batch throughput of ``SuggestionService.suggest_batch`` (result
   cache on) over a trace that repeats each workload query
   ``TRACE_REPEATS`` times in a shuffled order, the usual shape of a
   production query log (head queries recur).
 
 Before timing anything, every workload query is checked on four runs
-of the merge loop — cold, plan replay, ``kernel_pruning=False`` and
-``use_skipping=False`` — which must return byte-identical top-k, and
-against the ``NaiveCleaner`` oracle at γ=None (relative 1e-9).
+of the merge loop — cold, over memoized columns, ``kernel_pruning=False``
+and ``use_skipping=False`` — which must return byte-identical top-k,
+and against the ``NaiveCleaner`` oracle at γ=None (relative 1e-9).
 
 The figures are absolute; ``benchmarks/compare.py`` gates
 ``merge.merge_only_ms_per_query`` against the committed baseline.
@@ -75,7 +75,7 @@ def rows_of(suggestions):
 
 
 def verify_outputs(setting, queries):
-    """Cold == replay == unpruned == linear (byte-identical) on every
+    """Cold == memo == unpruned == linear (byte-identical) on every
     workload query, and == ``NaiveCleaner`` at γ=None (1e-9).  Raises
     on any mismatch; returns the number of queries checked."""
     kernel = setting.xclean()
@@ -84,8 +84,9 @@ def verify_outputs(setting, queries):
         "use_skipping=False": setting.xclean(use_skipping=False),
     }
     for query in queries:
+        setting.corpus.bump_generation()  # cold: no memoized columns
         cold = rows_of(kernel.suggest(query, 10))
-        runs = {"replay": rows_of(kernel.suggest(query, 10))}
+        runs = {"memo": rows_of(kernel.suggest(query, 10))}
         for label, suggester in variants.items():
             runs[label] = rows_of(suggester.suggest(query, 10))
         for label, rows in runs.items():
@@ -152,28 +153,25 @@ def _stage_totals(registry):
 
 
 def bench_merge(setting, queries):
-    """Merge-only seconds of the merge loop over the warm passes.
+    """Merge-only seconds of the live merge loop over the warm passes.
 
-    Cache bounds are sized to the workload and every query is run once
-    before timing, so the timed passes measure the loop's intended
-    steady state: plan replays.
+    The merged-columns memo is sized to the workload and every query is
+    run once before timing, so the timed passes run the whole loop —
+    anchors, skips, group drains — over memoized columns.
     """
-    plan_capacity = max(64, 4 * len(queries))
     registry = MetricsRegistry()
     suggester = setting.xclean(
-        merged_cache_size=plan_capacity,
-        intersection_cache_size=plan_capacity,
+        merged_cache_size=max(64, 4 * len(queries))
     )
     suggester.metrics = registry
-    for query in queries:  # warm: variants, columns, plans, types
+    for query in queries:  # warm: variants, columns, types
         suggester.suggest(query, 10)
     before = _stage_totals(registry)
-    pruned = plan_hits = 0
+    pruned = 0
     for _ in range(REPETITIONS):
         for query in queries:
             suggester.suggest(query, 10)
             pruned += suggester.last_stats.kernel_pruned
-            plan_hits += suggester.last_stats.intersection_cache_hits
     after = _stage_totals(registry)
     merge_s = after.get("merge", 0.0) - before.get("merge", 0.0)
     score_s = after.get("score", 0.0) - before.get("score", 0.0)
@@ -185,7 +183,6 @@ def bench_merge(setting, queries):
         "merge_only_ms_per_query": (
             1e3 * merge_only_s / (REPETITIONS * len(queries))
         ),
-        "plan_cache_hits": plan_hits,
         "kernel_pruned": pruned,
     }
 
@@ -244,13 +241,9 @@ def run(scale):
 
     checks = [
         shape_check(
-            f"cold, replay, unpruned and linear runs byte-identical, "
+            f"cold, memo, unpruned and linear runs byte-identical, "
             f"NaiveCleaner within 1e-9 ({checked} queries)",
             checked == len(queries),
-        ),
-        shape_check(
-            "plan cache absorbed the warm merge passes",
-            merge["plan_cache_hits"] >= REPETITIONS * len(queries) * 0.9,
         ),
         shape_check(
             "result cache absorbed the repeated trace queries",
@@ -275,14 +268,12 @@ def run(scale):
         )
         + "\n"
         + format_table(
-            ("merge-only ms/query", "merge-only ms", "score ms",
-             "plan hits"),
+            ("merge-only ms/query", "merge-only ms", "score ms"),
             [
                 (
                     round(merge["merge_only_ms_per_query"], 4),
                     round(1e3 * merge["merge_only_s"], 2),
                     round(1e3 * merge["score_share_s"], 2),
-                    merge["plan_cache_hits"],
                 )
             ],
             title=(

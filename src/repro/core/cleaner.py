@@ -49,12 +49,7 @@ from repro.core.suggestion import CleaningStats, Suggestion
 from repro.exceptions import QueryError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import CorpusIndex
-from repro.index.merge_kernel import (
-    GroupRun,
-    MergePlan,
-    gallop_left,
-    scan_left,
-)
+from repro.index.merge_kernel import gallop_left, scan_left
 from repro.index.merged_list import PackedEntry, PackedMergedList
 from repro.obs.context import Context
 from repro.obs.explain import (
@@ -93,9 +88,6 @@ class XCleanSuggester:
             # suggesters over one corpus keep each other's warm state).
             corpus.configure_query_caches(
                 merged_cache_size=self.config.merged_cache_size,
-                intersection_cache_size=(
-                    self.config.intersection_cache_size
-                ),
             )
         if generator is None:
             # Snapshot-backed corpora serve FastSS buckets straight
@@ -409,7 +401,7 @@ class XCleanSuggester:
     ) -> None:
         """Algorithm 1 over the packed merged lists, as whole-group runs.
 
-        The only merge loop; none of its three accelerations is
+        The only merge loop; neither of its two accelerations is
         visible in the output:
 
         * **Galloping intersection** — cursors advance by exponential
@@ -417,11 +409,6 @@ class XCleanSuggester:
           bracket (``merge_kernel.gallop_left``), so the cost per skip
           is O(log distance-moved) rather than O(log remaining), which
           compounds across the many short hops of clustered postings.
-        * **Plan cache** — the sequence of subtree-group runs for a
-          variant-set combination is deterministic per snapshot
-          generation, so it is recorded on first evaluation and
-          replayed from the corpus's ``IntersectionCache`` afterwards
-          (``_replay_plan``), skipping the intersection entirely.
         * **In-loop γ-pruning** — once the accumulator table is
           saturated, candidates whose score upper bound falls strictly
           below the table's floor are dropped before materializing
@@ -430,20 +417,12 @@ class XCleanSuggester:
         ``use_skipping=False`` (the Section V-C ablation) swaps the
         advance for ``merge_kernel.scan_left``, which steps one key at
         a time: every posting a cursor passes counts as read, so
-        ``postings_skipped`` stays 0, and the plan cache is neither
-        read nor written — a replay would hide the linear scan the
-        ablation exists to time.
-
-        Counter contract: per-run read/skip *deltas* are recorded in
-        the plan so a replay — even one cut short by a deadline —
-        reports exactly the postings a live run would have consumed up
-        to the same group.
+        ``postings_skipped`` stays 0.
 
         ``score`` is the query's aggregated score stage: each scored
         group adds its burst to ``score.seconds``.
         """
-        corpus = self.corpus
-        view = corpus.packed_view()
+        view = self.corpus.packed_view()
         packer = view.packer
         min_depth = self.config.min_depth
         depth_mask = (1 << packer.depth_bits) - 1
@@ -451,34 +430,6 @@ class XCleanSuggester:
         columns = [ml.columns for ml in merged]
         skipping = self.config.use_skipping
         advance = gallop_left if skipping else scan_left
-        cache = getattr(corpus, "intersection_cache", None)
-        plan_key = None
-        if (
-            skipping
-            and cache is not None
-            and cache.enabled
-            and not any(ml.position for ml in merged)
-        ):
-            # Plans always start at position 0; a cursor mid-list
-            # (defensive — _run_inner builds fresh lists) is simply
-            # not cacheable.  Column uids name the variant sets in
-            # O(#keywords); the generation is embedded anyway so a
-            # hot-swap invalidates plans even if uids survived.
-            plan_key = (
-                corpus.generation,
-                min_depth,
-                tuple(c.uid for c in columns),
-            )
-            plan = cache.get(plan_key)
-            if plan is not None:
-                stats.intersection_cache_hits += 1
-                self.metrics.inc("intersection_cache_hits_total")
-                self._replay_plan(
-                    plan, merged, space, pool, stats, view, ctx, score
-                )
-                return
-            stats.intersection_cache_misses += 1
-            self.metrics.inc("intersection_cache_misses_total")
         group_bounds = packer.group_bounds
         key_columns = [c.keys for c in columns]
         lengths = [c.length for c in columns]
@@ -486,11 +437,6 @@ class XCleanSuggester:
         reads = [0] * num
         skips = [0] * num
         starts = [0] * num
-        # Deltas since the last *complete* group: shallow heads and
-        # groups some keyword missed are charged to the next run.
-        run_reads = [0] * num
-        run_skips = [0] * num
-        runs: list[GroupRun] = []
         score_group = self._score_group_packed
         indices = range(num)
         deadline = self._deadline
@@ -524,7 +470,6 @@ class XCleanSuggester:
                         if key_columns[i][positions[i]] == anchor:
                             positions[i] += 1
                             reads[i] += 1
-                            run_reads[i] += 1
                             break
                     continue
                 group, upper = group_bounds(anchor, min_depth)
@@ -535,12 +480,8 @@ class XCleanSuggester:
                         keys, group, positions[i], lengths[i]
                     )
                     end = advance(keys, upper, start, lengths[i])
-                    skipped = start - positions[i]
-                    consumed = end - start
-                    skips[i] += skipped
-                    run_skips[i] += skipped
-                    reads[i] += consumed
-                    run_reads[i] += consumed
+                    skips[i] += start - positions[i]
+                    reads[i] += end - start
                     starts[i] = start
                     positions[i] = end
                     if end == start:
@@ -553,109 +494,16 @@ class XCleanSuggester:
                     columns[i].slice_by_token(starts[i], positions[i])
                     for i in indices
                 ]
-                if plan_key is not None:
-                    runs.append(
-                        GroupRun(
-                            group,
-                            tuple(positions),
-                            tuple(run_reads),
-                            tuple(run_skips),
-                            tuple(occurrences),
-                        )
-                    )
-                    run_reads = [0] * num
-                    run_skips = [0] * num
                 stats.groups_processed += 1
                 score_group(
                     occurrences, space, pool, stats, view, group, ctx,
                     score,
-                )
-            if plan_key is not None and not stats.partial:
-                # Only cleanly exhausted intersections are cached; a
-                # deadline or fault exit leaves the loop via return or
-                # raise and never reaches this line.
-                cache.put(
-                    plan_key,
-                    MergePlan(
-                        runs,
-                        tuple(positions),
-                        tuple(run_reads),
-                        tuple(run_skips),
-                    ),
                 )
         finally:
             if not skipping:
                 # A linear advance reads every posting it passes.
                 reads = [r + s for r, s in zip(reads, skips)]
                 skips = [0] * num
-            for i in indices:
-                ml = merged[i]
-                ml.position = positions[i]
-                ml.reads += reads[i]
-                ml.skips += skips[i]
-            stats.postings_read = sum(ml.total_reads for ml in merged)
-            stats.postings_skipped = sum(ml.total_skips for ml in merged)
-
-    def _replay_plan(
-        self,
-        plan: MergePlan,
-        merged: list[PackedMergedList],
-        space: CandidateSpace,
-        pool: AccumulatorPool,
-        stats: CleaningStats,
-        view,
-        ctx: Context,
-        score,
-    ) -> None:
-        """Re-run a cached merge plan against the accumulator pool.
-
-        The intersection is already done: each recorded run carries its
-        subtree-group key, materialized occurrences, and the cursor
-        deltas the live loop accrued producing it, so replay is a walk
-        over the runs with the same deadline/fault checks at group
-        granularity.  Counters advance run by run — a deadline that
-        fires after run *j* leaves exactly the postings_read/skipped a
-        live run stopped at the same group would report.
-        """
-        num = len(merged)
-        indices = range(num)
-        positions = [ml.position for ml in merged]
-        reads = [0] * num
-        skips = [0] * num
-        score_group = self._score_group_packed
-        deadline = self._deadline
-        faults = _active_faults()
-        faults_enabled = faults.enabled
-        try:
-            for run in plan.runs:
-                if deadline is not None and deadline.expired():
-                    stats.partial = True
-                    ctx.event("deadline_expired", stage="merge")
-                    return
-                if faults_enabled:
-                    faults.hit("merge.step")
-                run_ends = run.ends
-                run_reads = run.reads
-                run_skips = run.skips
-                for i in indices:
-                    reads[i] += run_reads[i]
-                    skips[i] += run_skips[i]
-                    positions[i] = run_ends[i]
-                stats.groups_processed += 1
-                score_group(
-                    list(run.occurrences), space, pool, stats, view,
-                    run.key, ctx, score,
-                )
-            # Trailing entries past the last complete group (shallow
-            # heads, partial groups, exhaustion tail).
-            tail_ends = plan.tail_ends
-            tail_reads = plan.tail_reads
-            tail_skips = plan.tail_skips
-            for i in indices:
-                reads[i] += tail_reads[i]
-                skips[i] += tail_skips[i]
-                positions[i] = tail_ends[i]
-        finally:
             for i in indices:
                 ml = merged[i]
                 ml.position = positions[i]
@@ -797,8 +645,8 @@ class XCleanSuggester:
             probability = self.language_model.probability
             mass = 0.0
             # Packed keys sort exactly like their Dewey tuples: entities
-            # accumulate in document order, so live runs, replays and
-            # the linear mode produce bit-identical sums.
+            # accumulate in document order, so cold and memoized runs
+            # and the linear mode produce bit-identical sums.
             for root in sorted(entities):
                 stats.entities_scored += 1
                 length = subtree_lengths.get(root, 0)

@@ -25,8 +25,8 @@ class XCleanConfig:
             ``None`` disables pruning.
         use_skipping: galloping skip_to in Algorithm 1 (Lines 7-8);
             ``False`` runs the same merge with a linear advance that
-            reads every posting it passes and bypasses the plan cache
-            (the Section V-C ablation: same output, more I/O).
+            reads every posting it passes (the Section V-C ablation:
+            same output, more I/O).
         prior: the entity prior P(r_j|T) of Eq. 8 — ``"uniform"``
             (the paper's 1/N) or ``"length"`` (∝ |D(r)|: longer
             entities are a priori likelier targets; the generalization
@@ -50,11 +50,6 @@ class XCleanConfig:
     #: LRU bound of the corpus's merged-columns memo (physically merged
     #: per-variant-set posting columns); ``None`` removes the bound.
     merged_cache_size: int | None = 256
-    #: LRU bound of the corpus's intersection (merge-plan) cache;
-    #: ``None`` disables plan caching entirely.  Must cover the query
-    #: log's working set of distinct variant-set combinations — a
-    #: sequentially scanned LRU smaller than the working set hits 0%.
-    intersection_cache_size: int | None = 256
     #: Per-query wall-clock budget (seconds) for the merge/score loop;
     #: on expiry the engine returns the best-so-far top-k with
     #: ``CleaningStats.partial = True`` instead of raising.  ``None``
@@ -80,13 +75,6 @@ class XCleanConfig:
         if self.merged_cache_size is not None and self.merged_cache_size < 1:
             raise ConfigurationError(
                 "merged_cache_size must be >= 1 or None"
-            )
-        if (
-            self.intersection_cache_size is not None
-            and self.intersection_cache_size < 1
-        ):
-            raise ConfigurationError(
-                "intersection_cache_size must be >= 1 or None"
             )
         if self.prior not in ("uniform", "length"):
             raise ConfigurationError(f"unknown prior {self.prior!r}")

@@ -167,8 +167,6 @@ _SUMMED_FIELDS = (
     "variant_cache_misses",
     "merged_cache_hits",
     "merged_cache_misses",
-    "intersection_cache_hits",
-    "intersection_cache_misses",
     "kernel_pruned",
 )
 

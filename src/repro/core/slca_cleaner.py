@@ -11,9 +11,9 @@ definition, so none is dropped).
 
 Only the entity step of Algorithm 1 differs, so both suggesters here
 run :class:`~repro.core.cleaner.XCleanSuggester`'s merge kernel —
-anchors, minimal depth d, skipping (or the linear ablation), plan
-replay, deadlines, fault sites and spans — and override the per-group
-scoring alone.  SLCAs are computed *within* each depth-d group;
+anchors, minimal depth d, skipping (or the linear ablation),
+deadlines, fault sites and spans — and override the per-group scoring
+alone.  SLCAs are computed *within* each depth-d group;
 connections that exist only above depth d are deliberately excluded —
 the same "connected only through the root is not meaningful" argument
 of Section V-B.  The paper notes this semantics works as well as node
@@ -118,8 +118,9 @@ class SLCACleanSuggester(XCleanSuggester):
 
         Replaces only the node-type entity step of the merge kernel;
         ``pool`` (the γ table) stays empty.  Each group's mass is added
-        to :attr:`_table` in group order, so cold runs, plan replays and
-        the linear mode sum the same floats in the same order.
+        to :attr:`_table` in group order, so runs over cold or memoized
+        columns and the linear mode sum the same floats in the same
+        order.
         """
         unpack = view.packer.unpack
         deweys = [

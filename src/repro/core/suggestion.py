@@ -68,9 +68,8 @@ class CleaningStats:
     #: Variant-set → posting-list resolution memo (CorpusIndex).
     merged_cache_hits: int = 0
     merged_cache_misses: int = 0
-    #: Merge-kernel intersection (plan) cache: a hit replays the
-    #: precomputed group runs for this query's variant sets instead of
-    #: re-intersecting the packed columns (``index/merge_kernel``).
+    #: Always 0: the merge loop keeps no plan cache.  Kept so readers
+    #: of the stats (benchmark reports) still find the fields.
     intersection_cache_hits: int = 0
     intersection_cache_misses: int = 0
     #: Candidates the kernel's in-loop γ-pruning skipped because their

@@ -27,10 +27,6 @@ from repro.index.inverted import (
     InvertedList,
     PackedInvertedList,
 )
-from repro.index.merge_kernel import (
-    DEFAULT_INTERSECTION_CACHE_SIZE,
-    IntersectionCache,
-)
 from repro.index.merged_list import PackedMergedColumns, PackedMergedList
 from repro.index.path_index import PathIndex, path_counts_from_postings
 from repro.index.tokenizer import Tokenizer
@@ -129,21 +125,12 @@ class QueryEngineMixin:
         #: generation-keyed cache entry from before the bump becomes
         #: unreachable.  Narrower changes use ``evict_tokens``.
         self.generation = 0
-        #: Merge-kernel plan cache (``index/merge_kernel``): the
-        #: precomputed group runs per variant-set intersection.
-        self.intersection_cache = IntersectionCache(
-            DEFAULT_INTERSECTION_CACHE_SIZE
-        )
         self._metrics = NULL_METRICS
 
     def configure_query_caches(
-        self,
-        merged_cache_size: int | None = DEFAULT_MERGED_CACHE_SIZE,
-        intersection_cache_size: int | None = (
-            DEFAULT_INTERSECTION_CACHE_SIZE
-        ),
+        self, merged_cache_size: int | None = DEFAULT_MERGED_CACHE_SIZE
     ) -> None:
-        """Apply cache bounds from an :class:`XCleanConfig`.
+        """Apply the memo bound from an :class:`XCleanConfig`.
 
         Idempotent: re-applying the current bounds touches nothing, so
         several suggesters sharing one corpus (the normal serving
@@ -153,8 +140,6 @@ class QueryEngineMixin:
         if merged_cache_size != self.merged_cache_size:
             self.merged_cache_size = merged_cache_size
             self._trim_merged_caches()
-        if intersection_cache_size != self.intersection_cache.capacity:
-            self.intersection_cache.resize(intersection_cache_size)
 
     def bump_generation(self) -> None:
         """Invalidate every generation-keyed cache.
@@ -165,28 +150,21 @@ class QueryEngineMixin:
         """
         self.generation += 1
         self._packed_merged_cache.clear()
-        self.intersection_cache.clear()
 
     def evict_tokens(self, tokens: Iterable[str]) -> None:
-        """Drop the memo entries and merge plans over changed tokens.
+        """Drop the memo entries over changed tokens.
 
         The live-update refresh path: a variant set holding none of
-        ``tokens`` keeps its merged columns and plans.  That is exact
-        because plans hold only posting data (``GroupRun.occurrences``)
-        — scoring reads lengths, entity counts and the language model
-        at replay time.
+        ``tokens`` keeps its merged columns, which hold only posting
+        data — scoring reads lengths, entity counts and the language
+        model at query time.
         """
         changed = set(tokens)
         if not changed:
             return
         packed_cache = self._packed_merged_cache
-        stale = {
-            packed_cache.pop(key).uid
-            for key in [
-                k for k in packed_cache if not changed.isdisjoint(k[1])
-            ]
-        }
-        self.intersection_cache.evict_columns(stale)
+        for key in [k for k in packed_cache if not changed.isdisjoint(k[1])]:
+            del packed_cache[key]
 
     def _trim_merged_caches(self) -> None:
         cap = self.merged_cache_size
@@ -416,19 +394,12 @@ def approximate_index_bytes(index, generator=None) -> dict[str, int]:
             + len(counts) * _DICT_ENTRY_BYTES
         )
 
-    # Merge-kernel plan cache (bounded LRU; zero until queries populate
-    # it) — surfaced so its budget is auditable next to the structures
-    # it shadows.
-    plan_cache = getattr(index, "intersection_cache", None)
     breakdown = {
         "postings_tuple": postings_tuple,
         "postings_packed": postings_packed,
         "vocabulary": vocabulary,
         "subtree_lengths": subtree_lengths,
         "path_index": path_index_bytes,
-        "merge_plans": (
-            plan_cache.approx_bytes() if plan_cache is not None else 0
-        ),
     }
     if generator is not None:
         breakdown["fastss_buckets"] = fastss_bucket_bytes(generator)

@@ -946,8 +946,8 @@ class DeltaOverlayCorpus(QueryEngineMixin):
     snapshot of the same content.  Call :meth:`refresh` after folding
     records into the delta.  A refresh invalidates only what the new
     records touched: per-token caches (packed and tuple lists, f_w^p
-    counts) check the token's stamp, and the merged-column memo and
-    merge plans lose just the variant sets holding a changed token.
+    counts) check the token's stamp, and the merged-column memo loses
+    just the variant sets holding a changed token.
     The cache ``generation`` is bumped only when the delta outgrows the
     packer, because then every packed key changes; snapshot swaps and
     compaction install a different corpus object altogether.

@@ -22,20 +22,20 @@ from repro.index.inverted import PackedInvertedList
 PackedEntry = tuple[int, int, int, str]
 
 
-def _next_columns_uid(_counter=iter(range(1, 1 << 62)).__next__) -> int:
-    """Process-wide unique id for PackedMergedColumns instances.
-
-    Monotonic and never reused (unlike ``id()``), so a cache keyed on
-    uids can never alias a dead columns object with a new one."""
-    return _counter()
+def _concat(typecode: str, columns) -> array:
+    """The columns end to end, copied as raw bytes (C-level)."""
+    out = array(typecode)
+    for column in columns:
+        out.frombytes(memoryview(column).cast("B"))
+    return out
 
 
 class PackedMergedColumns:
-    """The variant lists of one keyword, physically merged (immutable).
+    """The variant lists of one keyword, merged by key (immutable).
 
-    Packed Dewey keys sort globally, so the member lists can be merged
-    once into four parallel columns sorted by key.  Two consequences
-    make the query-time cursor trivial:
+    Packed Dewey keys sort globally, so the member lists merge into one
+    ascending key column.  Two consequences make the query-time cursor
+    trivial:
 
     * skipping to a key is one galloping search over the key column —
       no per-member search, no heap rebuild;
@@ -43,45 +43,60 @@ class PackedMergedColumns:
       share its packed prefix and nothing else sorts between them), so
       draining a subtree group takes one slice found by a second search.
 
+    The merge is C-level work only.  A one-member set *is* its member's
+    columns (nothing is copied).  A larger set concatenates the member
+    columns and sorts the positions once, stably by key: ties keep
+    member order, so postings come out in (key, member) order, the
+    order a (key, member) min-heap merge would yield.  ``order[j]`` is
+    the concatenated position of merged position ``j``, and the side
+    columns — ``path_ids``, ``tfs`` and the per-posting
+    ``posting_tokens`` — stay in concatenated order: rows are built
+    only by :meth:`slice_by_token`, for the groups the kernel drains.
+
     The merge is paid once per variant set and memoized on the corpus;
     :class:`PackedMergedList` cursors share the columns.
     """
 
-    __slots__ = ("keys", "path_ids", "tfs", "token_ids", "tokens",
-                 "length", "uid")
+    __slots__ = ("keys", "order", "path_ids", "tfs", "posting_tokens",
+                 "tokens", "length")
 
     def __init__(self, lists: Iterable[PackedInvertedList]):
         members = list(lists)
         self.tokens = [lst.token for lst in members]
-        #: Never-reused identity for plan-cache keys: the corpus memoizes
-        #: columns per variant set, so while an instance stays cached its
-        #: uid names that variant set in O(1) — no token-tuple hashing on
-        #: the query path.  A rebuilt instance gets a fresh uid and the
-        #: old plans simply age out of the LRU.
-        self.uid = _next_columns_uid()
-        rows = [
-            (lst.keys[i], member, lst.path_ids[i], lst.tfs[i])
-            for member, lst in enumerate(members)
-            for i in range(len(lst.keys))
-        ]
-        # Keys ascending, ties broken by member index — exactly the
-        # order a (key, member) min-heap merge would yield.
-        rows.sort()
+        if len(members) == 1:
+            (only,) = members
+            self.keys = only.keys
+            self.path_ids = only.path_ids
+            self.tfs = only.tfs
+            self.order = self.posting_tokens = None
+            self.length = len(only.keys)
+            return
         # Snapshot-backed lists carry memoryview columns; they hold
         # int64 keys just like array('q'), so the merged keys stay a
         # machine-int column (only >63-bit packers fall through).
         if all(
             isinstance(lst.keys, (array, memoryview)) for lst in members
         ):
-            self.keys: list[int] | array = array(
-                "q", (row[0] for row in rows)
-            )
+            concatenated = _concat("q", (lst.keys for lst in members))
+            flat = concatenated.tolist()
         else:
-            self.keys = [row[0] for row in rows]
-        self.token_ids = array("i", (row[1] for row in rows))
-        self.path_ids = array("i", (row[2] for row in rows))
-        self.tfs = array("i", (row[3] for row in rows))
-        self.length = len(rows)
+            flat = [key for lst in members for key in lst.keys]
+            concatenated = None
+        order = sorted(range(len(flat)), key=flat.__getitem__)
+        keys = [flat[i] for i in order]
+        self.keys: list[int] | array = (
+            keys if concatenated is None else array("q", keys)
+        )
+        self.order = array("i", order)
+        self.path_ids = _concat("i", (lst.path_ids for lst in members))
+        self.tfs = _concat("i", (lst.tfs for lst in members))
+        posting_tokens: list[str] = []
+        for lst in members:
+            posting_tokens += [lst.token] * len(lst.keys)
+        # A tuple of strs leaves the garbage collector's lists after
+        # its first collection; a memoized list would stay tracked.
+        self.posting_tokens = tuple(posting_tokens)
+        self.length = len(flat)
 
     def slice_by_token(
         self, start: int, end: int
@@ -89,20 +104,32 @@ class PackedMergedColumns:
         """Materialize ``[start, end)`` grouped by originating token.
 
         The group-collection step of Algorithm 1 (Lines 9-11) in one
-        call: entries come out in column (document) order within each
-        token list, which is what keeps candidate enumeration — and
-        hence score accumulation — deterministic across live runs, the
-        linear (no-skipping) mode, and plan replays.
+        call: tokens appear in the order of their first posting, and
+        entries come out in column (document) order within each token
+        list, which is what keeps candidate enumeration — and hence
+        score accumulation — deterministic across live runs and the
+        linear (no-skipping) mode.
         """
         keys = self.keys
         path_ids = self.path_ids
         tfs = self.tfs
-        token_ids = self.token_ids
-        tokens = self.tokens
+        order = self.order
+        if order is None:
+            if start >= end:
+                return {}
+            token = self.tokens[0]
+            return {
+                token: [
+                    (keys[j], path_ids[j], tfs[j], token)
+                    for j in range(start, end)
+                ]
+            }
+        posting_tokens = self.posting_tokens
         by_token: dict[str, list[PackedEntry]] = {}
         for j in range(start, end):
-            token = tokens[token_ids[j]]
-            entry = (keys[j], path_ids[j], tfs[j], token)
+            i = order[j]
+            token = posting_tokens[i]
+            entry = (keys[j], path_ids[i], tfs[i], token)
             found = by_token.get(token)
             if found is None:
                 by_token[token] = [entry]

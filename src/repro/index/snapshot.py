@@ -674,6 +674,14 @@ class _StringTable:
     def get_str(self, index: int) -> str:
         decoded = self._decoded.get(index)
         if decoded is None:
+            # Ids can come from mapped columns (the FastSS tables),
+            # which loading does not CRC: a stray id must not wrap
+            # around to another string.
+            if not 0 <= index < len(self._offsets) - 1:
+                raise StorageError(
+                    f"snapshot string id {index} is outside its "
+                    f"{len(self)}-entry table"
+                )
             decoded = self.raw(index).decode("utf-8")
             if len(self._decoded) < _MEMO_LIMIT:
                 self._decoded[index] = decoded
@@ -1232,11 +1240,6 @@ class SnapshotCorpusIndex(QueryEngineMixin):
             "snapshot_bytes": {
                 **section_bytes,
                 "total": len(self._mapped),
-            },
-            # Query-time heap caches on top of the mapping (bounded
-            # LRUs; zero until queries populate them).
-            "cache_bytes": {
-                "merge_plans": self.intersection_cache.approx_bytes(),
             },
         }
 

@@ -482,15 +482,11 @@ class Explanation:
                         f"estimate {event.estimate:.3e} below every "
                         f"accumulator"
                     )
-        hits = self.stats.get("intersection_cache_hits", 0)
-        misses = self.stats.get("intersection_cache_misses", 0)
         pruned = self.stats.get("kernel_pruned", 0)
-        if hits or misses or pruned:
+        if pruned:
             lines.append("")
             lines.append(
-                f"merge kernel: plan cache {hits} hit(s) / "
-                f"{misses} miss(es), {pruned} candidate(s) pruned "
-                f"in-loop"
+                f"merge kernel: {pruned} candidate(s) pruned in-loop"
             )
         if self.kernel_prunes:
             for note in self.kernel_prunes:

@@ -98,8 +98,8 @@ class TestSyntheticDBLP:
     def setting(self):
         return dblp_setting("small")
 
-    # use_skipping=True runs the kernel with galloping advances (and
-    # its plan cache), False with the linear one-key-at-a-time scan —
+    # use_skipping=True runs the kernel with galloping advances, False
+    # with the linear one-key-at-a-time scan —
     # both must match the reference on every workload query.
     @pytest.mark.parametrize("use_skipping", [True, False])
     @pytest.mark.parametrize("kind", ["CLEAN", "RAND", "RULE"])

@@ -6,8 +6,8 @@ its CLEAN/RAND/RULE workloads — plus seeded queries of 1–3 tokens that
 co-occur in one leaf, each token misspelled by
 ``misspellings.rule_misspell``.  At γ=None the paths are:
 
-* the merge kernel, cold (plan cache cleared first);
-* the same suggester again (a plan replay);
+* the merge kernel, cold (merged-columns memo cleared first);
+* the same suggester again, over the columns the cold run memoized;
 * the linear mode (``use_skipping=False``);
 * a v3 snapshot of the same corpus;
 * ``SuggestionService.suggest_detailed``;
@@ -17,15 +17,16 @@ Checks: byte-identical top-k (tokens, score, result type) on every
 path; ``score_all`` equal to the ``NaiveCleaner`` oracle (the Section
 IV model) to a relative 1e-9; every suggestion returns at least one
 ``EntitySearch`` result (the paper's validity guarantee); the linear
-mode reads exactly what the galloping run reads plus skips; a replay
-repeats the cold counters; and at γ ∈ {1, 4} in-loop pruning changes
-nothing — every prune, scored the unpruned way, would have been
-rejected by the accumulator.
+mode reads exactly what the galloping run reads plus skips; the memo
+run finds every variant set memoized and repeats the cold counters;
+and at γ ∈ {1, 4} in-loop pruning changes nothing — every prune,
+scored the unpruned way, would have been rejected by the accumulator.
 
 The SLCA and ELCA suggesters (Section VI-B) run the same loop: their
-``score_all`` is identical cold, on replay, in linear mode and over the
-snapshot, matches a brute-force Eq. 8/9 over LCA entities to a relative
-1e-9, and reads and skips exactly what the node-type run does.
+``score_all`` is identical cold, over memoized columns, in linear mode
+and over the snapshot, matches a brute-force Eq. 8/9 over LCA entities
+to a relative 1e-9, and reads and skips exactly what the node-type run
+does.
 """
 
 from __future__ import annotations
@@ -167,11 +168,12 @@ def case(request, tmp_path_factory):
         ) as sharded:
             for query in queries:
                 run = runs[query] = Run()
-                # A cold run records its own plan, whatever came before.
-                corpus.intersection_cache.clear()
+                # A cold run merges its own columns, whatever came
+                # before.
+                corpus.bump_generation()
                 for path, suggester in (
                     ("cold", kernel),
-                    ("replay", kernel),
+                    ("memo", kernel),
                     ("linear", linear),
                     ("snapshot", from_snapshot),
                 ):
@@ -228,14 +230,18 @@ class TestPaths:
                 cold.postings_read + cold.postings_skipped
             ), query
             assert linear.groups_processed == cold.groups_processed, query
-            assert linear.intersection_cache_hits == 0, query
-            assert linear.intersection_cache_misses == 0, query
 
     def test_replay_repeats_cold_counters(self, case):
+        # Run again, the query reads the columns its cold run memoized.
+        memoized = 0
         for query, run in case.runs.items():
-            cold, replay = run.stats["cold"], run.stats["replay"]
-            if cold.groups_processed:
-                assert replay.intersection_cache_hits == 1, query
+            cold, memo = run.stats["cold"], run.stats["memo"]
+            built = cold.merged_cache_hits + cold.merged_cache_misses
+            if built:
+                assert cold.merged_cache_misses >= 1, query
+            assert memo.merged_cache_misses == 0, query
+            assert memo.merged_cache_hits == built, query
+            memoized += memo.merged_cache_hits >= 1
             for counter in (
                 "postings_read",
                 "postings_skipped",
@@ -244,10 +250,11 @@ class TestPaths:
                 "entities_scored",
                 "kernel_pruned",
             ):
-                assert getattr(replay, counter) == getattr(cold, counter), (
+                assert getattr(memo, counter) == getattr(cold, counter), (
                     query,
                     counter,
                 )
+        assert memoized >= len(case.queries) // 2
 
     def test_length_prior_paths_agree(self, case):
         config = XCleanConfig(gamma=None, prior="length")
@@ -317,7 +324,7 @@ LCA_SEMANTICS = {
     "SLCA": (SLCACleanSuggester, slca_brute_force),
     "ELCA": (ELCACleanSuggester, elca_brute_force),
 }
-LCA_PATHS = ("cold", "replay", "linear", "snapshot")
+LCA_PATHS = ("cold", "memo", "linear", "snapshot")
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +338,7 @@ def lca_runs(case):
             kernel = cls(case.corpus, config=config)
             paths = (
                 ("cold", kernel),
-                ("replay", kernel),
+                ("memo", kernel),
                 (
                     "linear",
                     cls(
@@ -342,7 +349,7 @@ def lca_runs(case):
                 ("snapshot", cls(snapshot, config=config)),
             )
             for query in case.queries:
-                case.corpus.intersection_cache.clear()
+                case.corpus.bump_generation()
                 for path, suggester in paths:
                     runs[label, query, path] = (
                         suggester.score_all(query),
@@ -402,9 +409,11 @@ class TestLCASemantics:
         for query in case.queries:
             cold, cold_stats = lca_runs[label, query, "cold"]
             answered += bool(cold)
-            if cold_stats.groups_processed:
-                replay_stats = lca_runs[label, query, "replay"][1]
-                assert replay_stats.intersection_cache_hits == 1, query
+            memo_stats = lca_runs[label, query, "memo"][1]
+            assert memo_stats.merged_cache_misses == 0, query
+            assert memo_stats.merged_cache_hits == (
+                cold_stats.merged_cache_hits + cold_stats.merged_cache_misses
+            ), query
             for path in LCA_PATHS:
                 assert lca_runs[label, query, path][0] == cold, (query, path)
         assert answered >= len(case.queries) // 2

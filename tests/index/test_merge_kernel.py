@@ -1,14 +1,12 @@
 """Tests for the batch merge kernel (``repro.index.merge_kernel``).
 
-Three layers:
+Two layers:
 
 * the galloping and linear search primitives (must agree with
   ``bisect_left`` on every sorted input);
-* the generation-keyed :class:`IntersectionCache` LRU;
 * the kernel merge loop end to end — byte-identical output against its
   own linear (``use_skipping=False``) mode and the ``NaiveCleaner``
-  oracle, honest counters across plan replays, and the in-loop
-  γ-pruning fast path.
+  oracle, and the in-loop γ-pruning fast path.
 """
 
 from bisect import bisect_left
@@ -21,13 +19,7 @@ from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.naive import NaiveCleaner
 from repro.index.corpus import build_corpus_index
-from repro.index.merge_kernel import (
-    GroupRun,
-    IntersectionCache,
-    MergePlan,
-    gallop_left,
-    scan_left,
-)
+from repro.index.merge_kernel import gallop_left, scan_left
 from repro.xmltree.builder import build_tree, paper_example_tree
 from repro.xmltree.dewey_packed import DeweyPacker
 from repro.xmltree.document import XMLDocument
@@ -99,66 +91,6 @@ class TestScanLeft:
 
 
 # ----------------------------------------------------------------------
-# IntersectionCache
-# ----------------------------------------------------------------------
-
-
-def _plan() -> MergePlan:
-    run = GroupRun(1, (1,), (1,), (0,), ({"a": [(1, 0, 1, "a")]},))
-    return MergePlan([run], (1,), (0,), (0,))
-
-
-class TestIntersectionCache:
-    def test_hit_miss_counters(self):
-        cache = IntersectionCache(capacity=2)
-        assert cache.get("k") is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.put("k", _plan())
-        assert cache.get("k") is not None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_lru_eviction_order(self):
-        cache = IntersectionCache(capacity=2)
-        cache.put("a", _plan())
-        cache.put("b", _plan())
-        cache.get("a")  # refresh "a": "b" is now least recent
-        cache.put("c", _plan())
-        assert cache.evictions == 1
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_resize_trims_lru_first(self):
-        cache = IntersectionCache(capacity=3)
-        for key in ("a", "b", "c"):
-            cache.put(key, _plan())
-        cache.resize(1)
-        assert len(cache) == 1
-        assert cache.evictions == 2
-        assert cache.get("c") is not None
-
-    def test_disabled_cache_stores_nothing(self):
-        cache = IntersectionCache(capacity=None)
-        assert not cache.enabled
-        cache.put("k", _plan())
-        assert len(cache) == 0
-        assert cache.get("k") is None
-
-    def test_clear(self):
-        cache = IntersectionCache(capacity=2)
-        cache.put("a", _plan())
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_approx_bytes_counts_entries(self):
-        cache = IntersectionCache(capacity=2)
-        assert cache.approx_bytes() == 0
-        cache.put("a", _plan())
-        assert cache.approx_bytes() > 0
-
-
-# ----------------------------------------------------------------------
 # DeweyPacker.group_bounds
 # ----------------------------------------------------------------------
 
@@ -180,7 +112,7 @@ class TestGroupBounds:
 
 
 # ----------------------------------------------------------------------
-# Kernel merge loop: equivalence, replays, edge shapes
+# Kernel merge loop: equivalence, edge shapes
 # ----------------------------------------------------------------------
 
 
@@ -260,68 +192,6 @@ class TestKernelEquivalence:
         assert_kernel_equivalent(
             paper_corpus, self.QUERIES, max_errors=1, prior="length"
         )
-
-
-class TestPlanReplay:
-    def test_warm_replay_is_byte_identical(self, paper_corpus):
-        sugg = suggester(paper_corpus, max_errors=1)
-        for query in TestKernelEquivalence.QUERIES:
-            cold = output_of(sugg, query)
-            cold_stats = sugg.last_stats
-            cold_reads = cold_stats.postings_read
-            cold_skips = cold_stats.postings_skipped
-            cold_groups = cold_stats.groups_processed
-            assert cold_stats.intersection_cache_hits == 0
-            warm = output_of(sugg, query)
-            warm_stats = sugg.last_stats
-            assert warm == cold, query
-            assert warm_stats.intersection_cache_hits >= 1
-            assert warm_stats.postings_read == cold_reads, query
-            assert warm_stats.postings_skipped == cold_skips, query
-            assert warm_stats.groups_processed == cold_groups, query
-
-    def test_generation_bump_invalidates_plans(self, paper_corpus):
-        sugg = suggester(paper_corpus, max_errors=1)
-        query = "trie icde"
-        cold = output_of(sugg, query)
-        output_of(sugg, query)
-        assert sugg.last_stats.intersection_cache_hits >= 1
-        paper_corpus.bump_generation()
-        assert len(paper_corpus.intersection_cache) == 0
-        rebuilt = output_of(sugg, query)
-        assert sugg.last_stats.intersection_cache_hits == 0
-        assert rebuilt == cold
-
-    def test_linear_mode_bypasses_plan_cache(self, paper_corpus):
-        # The skipping ablation must time a real linear scan: it
-        # neither records plans nor replays one a galloping suggester
-        # on the same corpus left behind.
-        linear = suggester(paper_corpus, max_errors=1, use_skipping=False)
-        for _ in range(2):
-            output_of(linear, "trie icde")
-            assert linear.last_stats.intersection_cache_hits == 0
-            assert linear.last_stats.intersection_cache_misses == 0
-        assert len(paper_corpus.intersection_cache) == 0
-        output_of(suggester(paper_corpus, max_errors=1), "trie icde")
-        assert len(paper_corpus.intersection_cache) == 1
-        output_of(linear, "trie icde")
-        assert linear.last_stats.intersection_cache_hits == 0
-        assert linear.last_stats.postings_skipped == 0
-
-    def test_cache_disabled_still_correct(self, paper_corpus):
-        enabled = suggester(paper_corpus, max_errors=1)
-        cold = output_of(enabled, "trie icde")
-        paper_corpus.configure_query_caches(
-            intersection_cache_size=None
-        )
-        disabled = suggester(
-            paper_corpus, max_errors=1, intersection_cache_size=None
-        )
-        for _ in range(2):
-            assert output_of(disabled, "trie icde") == cold
-            assert disabled.last_stats.intersection_cache_hits == 0
-            assert disabled.last_stats.intersection_cache_misses == 0
-        assert len(paper_corpus.intersection_cache) == 0
 
 
 def corpus_of(spec):
@@ -485,13 +355,14 @@ class TestKernelPruning:
         assert sugg.last_stats.kernel_pruned == 0
 
     def test_prune_replays_identically(self):
+        # The second run reads memoized columns and prunes the same.
         corpus = pruning_corpus()
         sugg = suggester(corpus, max_errors=1, gamma=1)
         cold = output_of(sugg, "book")
         cold_pruned = sugg.last_stats.kernel_pruned
         warm = output_of(sugg, "book")
         assert warm == cold
-        assert sugg.last_stats.intersection_cache_hits >= 1
+        assert sugg.last_stats.merged_cache_hits >= 1
         assert sugg.last_stats.kernel_pruned == cold_pruned
 
     def test_explain_reports_kernel_prunes(self):
@@ -531,15 +402,4 @@ class TestMergedCacheBounds:
     def test_config_knob_validation(self):
         with pytest.raises(Exception):
             XCleanConfig(merged_cache_size=0)
-        with pytest.raises(Exception):
-            XCleanConfig(intersection_cache_size=0)
         XCleanConfig(merged_cache_size=None)
-        XCleanConfig(intersection_cache_size=None)
-
-    def test_size_breakdown_reports_merge_plans(self, paper_corpus):
-        sugg = suggester(paper_corpus, max_errors=1)
-        output_of(sugg, "trie icde")
-        from repro.index.corpus import approximate_index_bytes
-
-        breakdown = approximate_index_bytes(paper_corpus)
-        assert breakdown["merge_plans"] > 0

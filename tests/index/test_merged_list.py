@@ -4,8 +4,11 @@
 in document order; the merge kernel skips over the merged keys with
 ``merge_kernel.gallop_left``, drains a subtree group as the key range
 ``DeweyPacker.group_bounds`` gives, and accounts every posting it
-passes as read or skipped.
+passes as read or skipped.  The merge itself is checked against the
+tuple-per-posting sort it replaced.
 """
+
+from array import array
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,13 +44,11 @@ def merged(spec: dict[str, list]) -> PackedMergedColumns:
 def entries(columns, start=0, end=None):
     """``(dewey, token)`` of the rows in ``[start, end)``, column order."""
     end = columns.length if end is None else end
-    return [
-        (
-            PACKER.unpack(columns.keys[j]),
-            columns.tokens[columns.token_ids[j]],
-        )
-        for j in range(start, end)
-    ]
+    rows = []
+    for j in range(start, end):
+        ((token, [entry]),) = columns.slice_by_token(j, j + 1).items()
+        rows.append((PACKER.unpack(entry[0]), token))
+    return rows
 
 
 def skip(columns, dewey, position=0):
@@ -253,3 +254,94 @@ class TestPopSubtree:
             if code[: len(group)] == group
         ]
         assert entries(columns, start, end) == manual
+
+
+# ----------------------------------------------------------------------
+# The argsort merge against a tuple-per-posting sort
+# ----------------------------------------------------------------------
+
+
+def tuple_sort_rows(members):
+    """Every posting as ``(key, path_id, tf, token)``, in merged order.
+
+    The oracle: one tuple per posting, sorted by (key, member), the way
+    the merge was built before it became an argsort.
+    """
+    rows = sorted(
+        (lst.keys[i], member, lst.path_ids[i], lst.tfs[i])
+        for member, lst in enumerate(members)
+        for i in range(len(lst.keys))
+    )
+    return [(key, pid, tf, members[m].token) for key, m, pid, tf in rows]
+
+
+def tuple_sort_slice(rows, start, end):
+    """The oracle's group collection: tokens in first-posting order."""
+    by_token = {}
+    for entry in rows[start:end]:
+        by_token.setdefault(entry[3], []).append(entry)
+    return by_token
+
+
+def mapped(typecode, values):
+    """``values`` as a snapshot column: a slice of a larger mapped view."""
+    padded = array(typecode, [0, *values, 0])
+    return memoryview(padded.tobytes()).cast(typecode)[1:-1]
+
+
+#: Keys of the packers wider than 63 bits, which keep plain lists.
+WIDE = 1 << 70
+
+
+@st.composite
+def member_lists(draw, layout):
+    """One variant's columns; keys from a small pool, so members share
+    keys, and may be empty."""
+    keys = sorted(draw(st.sets(st.integers(0, 30), max_size=12)))
+    size = len(keys)
+    path_ids = draw(st.lists(st.integers(0, 9), min_size=size,
+                             max_size=size))
+    tfs = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    if layout == "list":
+        wide = [WIDE + key for key in keys]
+        return wide, array("i", path_ids), array("i", tfs)
+    if layout == "mixed":
+        layout = draw(st.sampled_from(("array", "memoryview")))
+    if layout == "memoryview":
+        return mapped("q", keys), mapped("i", path_ids), mapped("i", tfs)
+    return array("q", keys), array("i", path_ids), array("i", tfs)
+
+
+@st.composite
+def variant_sets(draw, min_size=0, max_size=5):
+    layout = draw(st.sampled_from(("array", "memoryview", "mixed", "list")))
+    count = draw(st.integers(min_size, max_size))
+    return [
+        PackedInvertedList(f"t{member}", *draw(member_lists(layout)))
+        for member in range(count)
+    ]
+
+
+class TestArgsortMerge:
+    @given(variant_sets(), st.data())
+    def test_matches_tuple_sort(self, members, data):
+        columns = PackedMergedColumns(members)
+        rows = tuple_sort_rows(members)
+        assert columns.length == len(rows)
+        assert list(columns.keys) == [row[0] for row in rows]
+        assert columns.tokens == [lst.token for lst in members]
+        for _ in range(3):
+            start = data.draw(st.integers(0, len(rows)))
+            end = data.draw(st.integers(start, len(rows)))
+            got = columns.slice_by_token(start, end)
+            want = tuple_sort_slice(rows, start, end)
+            # Dict order is the candidate enumeration order: compare it.
+            assert list(got.items()) == list(want.items())
+
+    @given(variant_sets(min_size=1, max_size=1))
+    def test_one_member_reuses_its_columns(self, members):
+        (member,) = members
+        columns = PackedMergedColumns(members)
+        assert columns.keys is member.keys
+        assert columns.path_ids is member.path_ids
+        assert columns.tfs is member.tfs

@@ -240,6 +240,23 @@ class TestFastSSTables:
         with pytest.raises(StorageError, match="malformed FastSS"):
             load_snapshot(path).variant_generator(2)
 
+    @pytest.mark.parametrize("bad_id", [1_000_000, -2])
+    def test_token_id_out_of_range_raises_storage_error(
+        self, corpus, snapshot_path, tmp_path, bad_id
+    ):
+        # Every short-table id rewritten under valid CRCs: the shape
+        # checks pass, and the first decode must refuse the id rather
+        # than wrap to another token or raise an untyped IndexError.
+        sections = dict(_sections_of(snapshot_path))
+        count = len(sections["fsd_s_ids"]) // 4
+        sections["fsd_s_ids"] = struct.pack(f"<{count}i", *[bad_id] * count)
+        path = str(tmp_path / "stray-id.xcs3")
+        _write_sections(path, list(sections.items()))
+        generator = load_snapshot(path).variant_generator(2)
+        shortest = min(corpus.vocabulary.tokens(), key=len)
+        with pytest.raises(StorageError, match="outside its"):
+            generator.variants(shortest)
+
     def test_generator_in_another_token_order(self, corpus, tmp_path):
         # Ids of a generator built in insertion order are translated to
         # the snapshot's vocabulary ranks.
