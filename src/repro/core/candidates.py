@@ -37,32 +37,57 @@ class KeywordVariants:
         return self.weights[token]
 
 
+def keyword_variants(
+    keywords: Sequence[str],
+    generator: VariantGenerator,
+    max_errors: int | None = None,
+    ctx=None,
+) -> tuple[tuple[Variant, ...], ...]:
+    """var_ε(q_i) of each keyword, in keyword order.
+
+    ``ctx`` (a ``repro.obs.context.Context``), when given, times each
+    keyword's var_ε(q) as a ``variant`` stage.
+    """
+    found = []
+    for keyword in keywords:
+        if ctx is None:
+            variants = generator.variants(keyword, max_errors)
+        else:
+            with ctx.stage("variant", keyword=keyword):
+                variants = generator.variants(keyword, max_errors)
+                ctx.annotate(variants=len(variants))
+        found.append(tuple(variants))
+    return tuple(found)
+
+
 class CandidateSpace:
     """Variant lists, error weights, and enumeration for one query."""
 
     def __init__(
         self,
         keywords: Sequence[str],
-        generator: VariantGenerator,
+        generator: VariantGenerator | None,
         error_model: ErrorModel,
         max_errors: int | None = None,
         ctx=None,
+        variants: Sequence[Sequence[Variant]] | None = None,
     ):
-        """``ctx`` (a ``repro.obs.context.Context``), when given, times
-        each keyword's var_ε(q) as a ``variant`` stage."""
+        """``variants``, one sequence per keyword as
+        :func:`keyword_variants` returns them (any other count raises
+        ``ValueError``), stand in for the generator, which is then
+        never asked; otherwise the generator is probed as
+        :func:`keyword_variants` does (``ctx`` times it).
+        """
         self.keywords = tuple(keywords)
-        self.per_keyword: list[KeywordVariants] = []
-        for keyword in self.keywords:
-            if ctx is None:
-                variants = generator.variants(keyword, max_errors)
-            else:
-                with ctx.stage("variant", keyword=keyword):
-                    variants = generator.variants(keyword, max_errors)
-                    ctx.annotate(variants=len(variants))
-            weights = error_model.variant_weights(keyword, variants)
-            self.per_keyword.append(
-                KeywordVariants(keyword, tuple(variants), weights)
+        if variants is None:
+            variants = keyword_variants(
+                self.keywords, generator, max_errors, ctx
             )
+        self.per_keyword: list[KeywordVariants] = []
+        for keyword, found in zip(self.keywords, variants, strict=True):
+            found = tuple(found)
+            weights = error_model.variant_weights(keyword, found)
+            self.per_keyword.append(KeywordVariants(keyword, found, weights))
 
     def __len__(self) -> int:
         return len(self.per_keyword)

@@ -48,6 +48,7 @@ from repro.core.result_type import ResultTypeConfig, ResultTypeFinder
 from repro.core.suggestion import CleaningStats, Suggestion
 from repro.exceptions import QueryError
 from repro.fastss.generator import VariantGenerator
+from repro.fastss.index import Variant
 from repro.index.corpus import CorpusIndex
 from repro.index.merge_kernel import gallop_left, scan_left
 from repro.index.merged_list import PackedEntry, PackedMergedList
@@ -89,19 +90,9 @@ class XCleanSuggester:
             corpus.configure_query_caches(
                 merged_cache_size=self.config.merged_cache_size,
             )
-        if generator is None:
-            # Snapshot-backed corpora serve FastSS buckets straight
-            # from the mapped file; building a fresh index would read
-            # the whole vocabulary for nothing.
-            corpus_generator = getattr(corpus, "variant_generator", None)
-            if corpus_generator is not None:
-                generator = corpus_generator(self.config.max_errors)
-            else:
-                generator = VariantGenerator(
-                    corpus.vocabulary.tokens(),
-                    max_errors=self.config.max_errors,
-                )
-        self.generator = generator
+        #: Built on first use (:attr:`generator`): a shard leg handed
+        #: its variants by the coordinator never builds one.
+        self._generator = generator
         self.error_model = error_model or ExponentialErrorModel(
             self.config.beta
         )
@@ -128,6 +119,30 @@ class XCleanSuggester:
             ),
         )
         self.last_stats = CleaningStats()
+
+    @property
+    def generator(self) -> VariantGenerator:
+        """The variant generator behind var_ε(q), built on first use.
+
+        Snapshot-backed corpora serve FastSS buckets straight from the
+        mapped file; a corpus without them builds a fresh index over
+        the whole vocabulary, which is why nothing is built until a
+        query asks for variants.
+        """
+        generator = self._generator
+        if generator is None:
+            corpus_generator = getattr(
+                self.corpus, "variant_generator", None
+            )
+            if corpus_generator is not None:
+                generator = corpus_generator(self.config.max_errors)
+            else:
+                generator = VariantGenerator(
+                    self.corpus.vocabulary.tokens(),
+                    max_errors=self.config.max_errors,
+                )
+            self._generator = generator
+        return generator
 
     # ------------------------------------------------------------------
     # Public API
@@ -161,7 +176,12 @@ class XCleanSuggester:
         """Scores of all surviving candidates (oracle-equivalence tests)."""
         return self._run(query).final_scores()
 
-    def partial_rows(self, query: str, ctx: Context | None = None):
+    def partial_rows(
+        self,
+        query: str,
+        ctx: Context | None = None,
+        variants: tuple[tuple[Variant, ...], ...] | None = None,
+    ):
         """The full γ-bounded accumulator table, serialized for gather.
 
         Runs the same Algorithm 1 pass as :meth:`suggest` but returns
@@ -178,8 +198,15 @@ class XCleanSuggester:
         per-shard top-k) is what makes the merged top-k exact.
         ``result_type`` travels as the path *string* so the gather side
         needs no shard-local path table.
+
+        ``variants`` — var_ε(q) of each query keyword, as
+        :func:`~repro.core.candidates.keyword_variants` returns them —
+        is how a coordinator hands every leg the variants it computed
+        once: the candidate space is built from them, and this
+        suggester's generator is never asked (nor built), and the
+        returned stats' ``variant_cache_*`` counters read 0.
         """
-        pool = self._run(query, ctx)
+        pool = self._run(query, ctx, variants=variants)
         table = self.corpus.path_table
         rows = tuple(
             (
@@ -216,18 +243,24 @@ class XCleanSuggester:
         query: str,
         ctx: Context | None = None,
         recorder: ScoreRecorder | None = None,
+        variants: tuple[tuple[Variant, ...], ...] | None = None,
     ) -> AccumulatorPool:
         if ctx is not None:
-            return self._run_inner(query, ctx)
+            return self._run_inner(query, ctx, variants)
         # No service owns this query: the suggester builds its own
         # context (and roots its own trace when it has a tracer).
         with Context.request(
             self.metrics, self.tracer, "suggest", recorder=recorder,
             query=query,
         ) as ctx:
-            return self._run_inner(query, ctx)
+            return self._run_inner(query, ctx, variants)
 
-    def _run_inner(self, query: str, ctx: Context) -> AccumulatorPool:
+    def _run_inner(
+        self,
+        query: str,
+        ctx: Context,
+        variants: tuple[tuple[Variant, ...], ...] | None = None,
+    ) -> AccumulatorPool:
         with ctx.stage("tokenize"):
             keywords = self.corpus.tokenizer.tokenize(query)
         if not keywords:
@@ -241,7 +274,9 @@ class XCleanSuggester:
         faults = _active_faults()
         if faults.enabled:
             faults.hit("variant.gen")
-        generator = self.generator
+        # Given variants, no generator is asked (or built); its
+        # counter deltas below then read 0.
+        generator = self.generator if variants is None else None
         variant_hits = getattr(generator, "cache_hits", 0)
         variant_misses = getattr(generator, "cache_misses", 0)
         merged_hits = self.corpus.merged_cache_hits
@@ -251,8 +286,8 @@ class XCleanSuggester:
         type_misses = type_finder.cache_misses
         with ctx.stage("variant_gen"):
             space = CandidateSpace(
-                keywords, self.generator, self.error_model,
-                self.config.max_errors, ctx,
+                keywords, generator, self.error_model,
+                self.config.max_errors, ctx, variants=variants,
             )
             ctx.annotate(space_size=space.space_size())
         stats = CleaningStats(

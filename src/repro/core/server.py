@@ -689,18 +689,21 @@ class SuggestionService(ServingCore):
     def _prepare_install(self, corpus) -> XCleanSuggester:
         """Build the per-generation serving state for ``corpus``.
 
-        Constructing a suggester can be expensive (its variant
-        generator may build a deletion-neighborhood index), so writers
-        call this *outside* ``_compute_lock`` (:meth:`_install`)
-        whenever the target is not shared with in-flight queries —
-        queries keep flowing on the old generation during the build.
+        A suggester's variant generator can be expensive to build (it
+        may build a deletion-neighborhood index), so it is built here,
+        not on the first query, and writers call this *outside*
+        ``_compute_lock`` (:meth:`_install`) whenever the target is not
+        shared with in-flight queries — queries keep flowing on the old
+        generation during the build.
         """
         corpus.bind_metrics(self.metrics_registry)
-        return XCleanSuggester(
+        suggester = XCleanSuggester(
             corpus,
             config=self.config,
             metrics=self.metrics_registry,
         )
+        suggester.generator  # built on first use: use it now
+        return suggester
 
     def _install(self, corpus, pin: bool) -> None:
         """Build ``corpus``'s serving state, then install it atomically."""

@@ -1,12 +1,14 @@
 """Scatter-gather serving over a sharded v3 index (``docs/sharding.md``).
 
 :class:`ShardedSuggestionService` is the coordinator in front of a
-shard manifest written by ``repro.index.sharding``: every query fans
-out to one replica pool per shard, each shard answers with its full
-γ-bounded partial accumulator table, and the gather side folds the
-per-shard Shewchuk expansions back together — producing a top-k that
-is **byte-identical** to a single-index run (same scores to the last
-bit, same deterministic ``(-score, candidate)`` order).
+shard manifest written by ``repro.index.sharding``: the coordinator
+computes var_ε(q) once per keyword from shard 0's FastSS tables, every
+query fans out with those variants to one replica pool per shard, each
+shard answers with its full γ-bounded partial accumulator table, and
+the gather side folds the per-shard Shewchuk expansions back together
+— producing a top-k that is **byte-identical** to a single-index run
+(same scores to the last bit, same deterministic ``(-score,
+candidate)`` order).
 
 Why whole tables and not k candidates per shard: a candidate's Eq. 8
 mass is a *sum over entities*, and its entities are spread across
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
+from repro.core.candidates import keyword_variants
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.pruning import add_partial
@@ -74,20 +77,24 @@ ROUTING_POLICIES = ("round-robin", "least-loaded")
 DEFAULT_ROUTING = "round-robin"
 
 
-def _worker_shard_partials(task: tuple[str, dict | None, int]):
+def _worker_shard_partials(task: tuple[str, dict | None, int, tuple]):
     """Answer one scatter leg: this shard's partial accumulator table.
 
-    ``task`` is ``(query, trace_ctx, shard_id)``; the replica process
-    runs it through ``serving.worker_task``.  Returns ``(rows, stats,
-    extras)`` where ``rows`` is the shard's full partial table
+    ``task`` is ``(query, trace_ctx, shard_id, variants)``, where
+    ``variants`` is var_ε(q) of each query keyword as the coordinator
+    computed it; the replica process runs it through
+    ``serving.worker_task``.  Returns ``(rows, stats, extras)`` where
+    ``rows`` is the shard's full partial table
     (``XCleanSuggester.partial_rows``), or ``None`` for an unanswerable
     query — tokenization is global, so one shard's ``QueryError`` means
     every shard's, and the coordinator re-raises.
     """
-    query, trace_ctx, shard_id = task
+    query, trace_ctx, shard_id, variants = task
     return worker_task(
         "shard.query", "shard.worker", trace_ctx,
-        lambda suggester, ctx: suggester.partial_rows(query, ctx),
+        lambda suggester, ctx: suggester.partial_rows(
+            query, ctx, variants
+        ),
         query=query, shard=shard_id,
     )
 
@@ -153,6 +160,8 @@ def merge_partial_tables(
 
 
 #: CleaningStats counters that sum across shards (work actually done).
+#: The variant cache counters are not among them: the coordinator
+#: probes FastSS once per keyword and sets them itself.
 _SUMMED_FIELDS = (
     "groups_processed",
     "candidates_evaluated",
@@ -163,8 +172,6 @@ _SUMMED_FIELDS = (
     "result_types_computed",
     "result_type_cache_hits",
     "result_type_cache_misses",
-    "variant_cache_hits",
-    "variant_cache_misses",
     "merged_cache_hits",
     "merged_cache_misses",
     "kernel_pruned",
@@ -386,8 +393,9 @@ class ShardedSuggestionService(ServingCore):
                 ))
             self._pools.append(row)
         # Shard 0 eagerly: its corpus provides the tokenizer for cache
-        # keys and the HTTP front-end, and validates the manifest's
-        # first snapshot up front.
+        # keys and the HTTP front-end, its FastSS tables every query's
+        # variants, and loading it validates the manifest's first
+        # snapshot up front.
         self.corpus = self._local_suggester(0).corpus
 
     # Bound in this class body because perfbench's traced pass wraps
@@ -662,12 +670,15 @@ class ShardedSuggestionService(ServingCore):
         self, query: str, k: int, ctx: Context
     ) -> tuple[list[Suggestion], CleaningStats]:
         """One full scatter-gather pass (no caching, no admission)."""
+        variants, variant_hits, variant_misses = self._query_variants(
+            query, ctx
+        )
         with ctx.stage("scatter", shards=self.shard_count):
             if self.replicas > 0 and not self._closed:
-                legs = self._scatter_pooled(query, ctx)
+                legs = self._scatter_pooled(query, variants, ctx)
             else:
                 legs = [
-                    self._query_shard_local(sid, query, ctx)
+                    self._query_shard_local(sid, query, ctx, variants)
                     for sid in range(self.shard_count)
                 ]
         if any(kind == "unanswerable" for kind, _, _ in legs):
@@ -688,6 +699,10 @@ class ShardedSuggestionService(ServingCore):
              if kind == "ok"],
             trace_id=ctx.trace_id,
         )
+        # The legs were handed their variants; the probes (and the
+        # generator's cache traffic) happened once, here.
+        stats.variant_cache_hits = variant_hits
+        stats.variant_cache_misses = variant_misses
         stats.extra = dict(
             stats.extra or {},
             shards=self.shard_count,
@@ -698,17 +713,51 @@ class ShardedSuggestionService(ServingCore):
             stats.partial = True
         return suggestions, stats
 
-    def _scatter_pooled(self, query: str, ctx: Context) -> list:
+    def _query_variants(self, query: str, ctx: Context) -> tuple:
+        """var_ε(q) of each query keyword, computed once for every leg.
+
+        Variants depend only on the global vocabulary, which every
+        shard replicates, so shard 0's generator (loaded eagerly; the
+        only shard whose file keeps the FastSS tables) answers for all
+        of them.  Its LRU is not thread-safe and ``_compute_misses``
+        runs queries from several threads, so the probes hold
+        ``_compute_lock``.  Returns ``(variants, cache_hits,
+        cache_misses)``, the counts being this query's own.
+        """
+        suggester = self._local_suggester(0)
+        keywords = suggester.corpus.tokenizer.tokenize(query)
+        if not keywords:
+            raise QueryError(f"query {query!r} has no usable keywords")
+        with self._compute_lock, ctx.stage("variant_gen"):
+            generator = suggester.generator
+            hits = generator.cache_hits
+            misses = generator.cache_misses
+            variants = keyword_variants(
+                keywords, generator, self.config.max_errors, ctx
+            )
+            return (
+                variants,
+                generator.cache_hits - hits,
+                generator.cache_misses - misses,
+            )
+
+    def _scatter_pooled(
+        self, query: str, variants: tuple, ctx: Context
+    ) -> list:
         """Fan one query to every shard's replicas; gather in order.
 
         Phase 1 dispatches one leg per shard so the shards overlap;
         phase 2 gathers each leg, walking that shard's failover ladder
         (next replica → in-process → omit) serially — failover is the
-        cold path.
+        cold path.  Every task carries the query's ``variants``.
         """
         trace_ctx = (
             {"trace_id": ctx.trace_id} if ctx.trace is not None else None
         )
+        tasks = [
+            (query, trace_ctx, sid, variants)
+            for sid in range(self.shard_count)
+        ]
         orders = [
             self._replica_order(sid)
             for sid in range(self.shard_count)
@@ -720,12 +769,12 @@ class ShardedSuggestionService(ServingCore):
                 if not replica.breaker.allow():
                     continue
                 order.remove(replica)
-                primary = self._dispatch(replica, (query, trace_ctx, sid))
+                primary = self._dispatch(replica, tasks[sid])
                 break
             primaries.append(primary)
         return [
             self._gather_shard(
-                sid, query, trace_ctx, orders[sid], primaries[sid], ctx
+                tasks[sid], orders[sid], primaries[sid], ctx
             )
             for sid in range(self.shard_count)
         ]
@@ -750,15 +799,13 @@ class ShardedSuggestionService(ServingCore):
 
     def _gather_shard(
         self,
-        sid: int,
-        query: str,
-        trace_ctx: dict | None,
+        task: tuple,
         order: list,
         primary: tuple | None,
         ctx: Context,
     ) -> tuple:
         """One shard's answer: replica ladder → in-process → omitted."""
-        task = (query, trace_ctx, sid)
+        query, _trace_ctx, sid, variants = task
         attempts = 0
         pending = primary
         while True:
@@ -810,7 +857,7 @@ class ShardedSuggestionService(ServingCore):
         if self.degrade_in_process:
             self._count("degraded_queries")
             try:
-                return self._query_shard_local(sid, query, ctx)
+                return self._query_shard_local(sid, query, ctx, variants)
             except StorageError as error:
                 logger.warning(
                     "in-process fallback for shard %d failed: %s",
@@ -824,19 +871,21 @@ class ShardedSuggestionService(ServingCore):
         return ("omitted", None, None)
 
     def _query_shard_local(
-        self, sid: int, query: str, ctx: Context
+        self, sid: int, query: str, ctx: Context, variants: tuple
     ) -> tuple:
         """One shard leg computed in-process (serial mode / fallback).
 
         The leg runs on its own context over the request's span stack:
         its stages land in the global histograms directly, and the
-        timings it collects give the per-shard labeled totals.
+        timings it collects give the per-shard labeled totals.  It
+        scores with the coordinator's ``variants`` and never probes
+        FastSS.
         """
         suggester = self._local_suggester(sid)
         leg = Context(ctx.metrics, ctx.trace, ctx.recorder, timings=[])
         with self._compute_lock, ctx.stage("shard.local", shard=sid):
             try:
-                rows, stats = suggester.partial_rows(query, leg)
+                rows, stats = suggester.partial_rows(query, leg, variants)
             except QueryError:
                 return ("unanswerable", None, None)
         self._label_leg_timings(sid, leg.timings)

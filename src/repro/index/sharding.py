@@ -3,8 +3,13 @@
 A shard is an ordinary, self-contained v3 snapshot (``index/snapshot``)
 holding a *subset* of the postings plus the **global** statistics —
 vocabulary (cf/df/rel, element doc count, total tokens), path table,
-path node counts, Eq. 8 totals, the per-path term counts f_w^p, and
-the FastSS variant buckets.  Query-side consequences:
+path node counts, Eq. 8 totals and the per-path term counts f_w^p.
+Shard 0 alone also embeds the FastSS tables over the global
+vocabulary: the coordinator computes var_ε(q) once per query from
+them and hands the variants to every leg.  A shard ≥ 1 loaded on its
+own still answers correctly; it rebuilds FastSS from its (global)
+vocabulary the first time it is asked for variants.  Query-side
+consequences:
 
 * every shard generates the identical candidate space, error weights,
   normalizers, and result types as a single-index run (those depend
@@ -470,8 +475,9 @@ def build_sharded_snapshot(
     optional parallel packing, byte-identical to a serial build) and
     recorded in the returned manifest, itself written atomically as
     ``directory/manifest.json``.  ``generator`` (or a freshly built
-    FastSS index over the *global* vocabulary) is embedded into every
-    shard so variant generation is identical on all of them.
+    FastSS index over the *global* vocabulary) is embedded into shard
+    0 only, where the coordinator reads it; the other shards carry no
+    ``fsd_*`` tables.
     """
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
@@ -482,9 +488,9 @@ def build_sharded_snapshot(
         index, shards, partition_depth, strategy
     )
     if generator is None and fastss_max_errors is not None:
-        # Built once over the global vocabulary, embedded N times.  In
-        # the snapshot's byte order its token ids are the vocabulary
-        # ranks every shard shares, so each shard gets the same bytes.
+        # Built over the global vocabulary, in the snapshot's byte
+        # order, so its token ids are the vocabulary ranks shard 0
+        # stores.
         from repro.fastss.generator import VariantGenerator
 
         generator = VariantGenerator(
@@ -502,11 +508,12 @@ def build_sharded_snapshot(
         )
         file_name = shard_file_name(shard_id)
         shard_path = os.path.join(directory, file_name)
+        first = shard_id == 0
         build_snapshot(
             view,
             shard_path,
-            generator=generator,
-            fastss_max_errors=fastss_max_errors,
+            generator=generator if first else None,
+            fastss_max_errors=fastss_max_errors if first else None,
             workers=workers,
             metrics=metrics,
             generation=generation,

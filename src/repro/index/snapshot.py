@@ -653,15 +653,18 @@ class _StringTable:
     ``find`` binary-searches by UTF-8 bytes and therefore requires the
     table to be byte-sorted (the vocabulary is; the path table is
     id-ordered and only ever indexed).  Decoded strings are memoized
-    up to a bound so hot tokens decode once.
+    up to a bound so hot tokens decode once, and so is the id each
+    came from: a string just decoded (a FastSS candidate, say) is
+    found again without a search.
     """
 
-    __slots__ = ("_offsets", "_blob", "_decoded")
+    __slots__ = ("_offsets", "_blob", "_decoded", "_ids")
 
     def __init__(self, offsets, blob):
         self._offsets = offsets
         self._blob = blob
         self._decoded: dict[int, str] = {}
+        self._ids: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -685,10 +688,14 @@ class _StringTable:
             decoded = self.raw(index).decode("utf-8")
             if len(self._decoded) < _MEMO_LIMIT:
                 self._decoded[index] = decoded
+                self._ids[decoded] = index
         return decoded
 
     def find(self, text: str) -> int:
         """Rank of ``text`` in the byte-sorted table, or -1."""
+        found = self._ids.get(text)
+        if found is not None:
+            return found
         probe = text.encode("utf-8")
         lo, hi = 0, len(self)
         while lo < hi:

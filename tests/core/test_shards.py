@@ -11,12 +11,18 @@ forked workers inherit the patched module attribute (same technique
 as ``tests/core/test_server.py``).
 """
 
+import hashlib
+import json
 import os
+import sys
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core import shards as shards_module
+from repro.core.candidates import keyword_variants
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.shards import (
@@ -27,8 +33,21 @@ from repro.core.shards import (
 from repro.core.suggestion import CleaningStats
 from repro.eval.experiments import dblp_setting
 from repro.exceptions import ConfigurationError, QueryError, StorageError
+from repro.fastss.generator import VariantGenerator
+from repro.fastss.index import FastSSIndex, PartitionedFastSSIndex
 from repro.index.corpus import build_corpus_index
-from repro.index.sharding import build_sharded_snapshot
+from repro.index.sharding import (
+    MANIFEST_NAME,
+    build_sharded_snapshot,
+    write_manifest,
+)
+from repro.index.snapshot import (
+    SnapshotCorpusIndex,
+    _parse_table,
+    _write_sections,
+    load_snapshot,
+)
+from repro.obs.context import Context
 from repro.obs.trace import Tracer
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
@@ -79,6 +98,50 @@ def _always_fail_worker(task):
 def _sleepy_worker(task):
     time.sleep(3.0)
     return _REAL_WORKER(task)
+
+
+def _sections_of(path):
+    """``[(name, payload)]`` of a snapshot, in file order."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    return [
+        (name, raw[offset : offset + length])
+        for name, (offset, length, _crc) in _parse_table(raw).items()
+    ]
+
+
+def _embed_fastss_everywhere(manifest, directory):
+    """A copy of ``manifest`` in the older shard layout.
+
+    There every shard embedded the global FastSS tables: each shard
+    here gets shard 0's ``fsd_*`` sections and FastSS meta.
+    """
+    paths = manifest.shard_paths()
+    first = _sections_of(paths[0])
+    tables = [(name, data) for name, data in first if name.startswith("fsd_")]
+    fastss = json.loads(dict(first)["meta"])["fastss"]
+    infos = []
+    for info, path in zip(manifest.shards, paths):
+        sections = _sections_of(path)
+        if info.shard_id:
+            meta = json.loads(dict(sections)["meta"])
+            meta["fastss"] = fastss
+            sections = [
+                (name, json.dumps(meta, sort_keys=True).encode("utf-8")
+                 if name == "meta" else data)
+                for name, data in sections
+            ] + tables
+        target = os.path.join(directory, info.path)
+        _write_sections(target, sections)
+        with open(target, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        infos.append(replace(
+            info, sha256=digest, bytes=os.path.getsize(target)
+        ))
+    return write_manifest(
+        replace(manifest, shards=tuple(infos)),
+        os.path.join(directory, MANIFEST_NAME),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +378,210 @@ class TestEquivalence:
                 # the bounded run must still be byte-identical.
                 assert stats.accumulator_evictions == 0
                 assert [_key(s) for s in got] == expected
+
+    @pytest.mark.parametrize("replicas", (0, 1))
+    def test_older_layout_matches_single_index(
+        self, manifests, queries, reference, replicas, tmp_path
+    ):
+        # Every shard embeds FastSS there; only shard 0's copy is read.
+        older = _embed_fastss_everywhere(manifests[4], str(tmp_path))
+        for path in older.shard_paths():
+            assert load_snapshot(path)._fastss_index() is not None
+        pairs = [
+            (query, expected)
+            for query, expected in zip(queries, reference[True])
+            if expected is not None
+        ][:6 if replicas else None]
+        with ShardedSuggestionService(
+            older, config=_config(True), replicas=replicas,
+            close_grace=2.0,
+        ) as service:
+            for query, expected in pairs:
+                got, stats = service.suggest_detailed(query, 10)
+                assert [_key(s) for s in got] == expected
+                assert not stats.partial
+            assert service.stats.shards_omitted == 0
+            assert service.stats.degraded_queries == 0
+
+    def test_threaded_batch_with_tiny_variant_cache_matches_serial(
+        self, setting, manifests, queries, reference
+    ):
+        # Four coordinator threads share shard 0's generator; with an
+        # LRU of 2 they evict each other's keywords all the time.
+        pairs = list(dict(
+            (query, expected)
+            for query, expected in zip(queries, reference[True])
+            if expected is not None
+        ).items())[:12]
+        batch = [query for query, _ in pairs]
+        interval = sys.getswitchinterval()
+        with ShardedSuggestionService(
+            manifests[2],
+            config=_config(True),
+            replicas=1,
+            workers=4,
+            close_grace=2.0,
+        ) as service:
+            generator = service._local_suggester(0).generator
+            generator.cache_size = 2
+            sys.setswitchinterval(1e-5)
+            try:
+                answers = service.suggest_batch(batch, k=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(generator._cache) <= 2
+            # One probe per keyword per query, none lost to a race.
+            assert generator.cache_hits + generator.cache_misses == sum(
+                len(setting.corpus.tokenizer.tokenize(query))
+                for query in batch
+            )
+            assert service.stats.shards_omitted == 0
+            assert service.stats.degraded_queries == 0
+        assert [[_key(s) for s in got] for got in answers] == [
+            expected for _, expected in pairs
+        ]
+
+
+# ----------------------------------------------------------------------
+# Variants once per query, at the coordinator
+# ----------------------------------------------------------------------
+
+
+class TestVariantsOnce:
+    @pytest.mark.parametrize("shard_count", (1, 2, 4))
+    def test_one_probe_per_keyword_per_query(
+        self, setting, manifests, queries, reference, shard_count,
+        monkeypatch,
+    ):
+        probes = []
+        real = VariantGenerator.variants
+
+        def spy(generator, keyword, max_errors=None):
+            probes.append(keyword)
+            return real(generator, keyword, max_errors)
+
+        monkeypatch.setattr(VariantGenerator, "variants", spy)
+        tokenize = setting.corpus.tokenizer.tokenize
+        with ShardedSuggestionService(
+            manifests[shard_count], config=_config(True),
+            result_cache_size=0,
+        ) as service:
+            for query, expected in zip(queries, reference[True]):
+                probes.clear()
+                if expected is None:
+                    with pytest.raises(QueryError):
+                        service.suggest(query, 10)
+                    assert probes == []
+                    continue
+                got, stats = service.suggest_detailed(query, 10)
+                assert [_key(s) for s in got] == expected
+                assert probes == tokenize(query), query
+                assert (
+                    stats.variant_cache_hits + stats.variant_cache_misses
+                    == len(probes)
+                )
+            # Only the coordinator's shard-0 suggester has a generator.
+            assert all(
+                service._local[sid]._generator is None
+                for sid in range(1, shard_count)
+            )
+
+    def test_concurrent_probes_lose_no_cache_update(
+        self, setting, manifests, queries
+    ):
+        # Threaded batches run the coordinator's variant step from
+        # several threads at once.  Four queries' keywords through an
+        # LRU of 2 hit and evict all the time; under the lock no probe
+        # fails and no count is lost.
+        tokenize = setting.corpus.tokenizer.tokenize
+        answerable = [query for query in queries if tokenize(query)][:4]
+        threads, rounds = 8, 150
+        errors = []
+        with ShardedSuggestionService(
+            manifests[2], config=_config(True)
+        ) as service:
+            generator = service._local_suggester(0).generator
+            generator.cache_size = 2
+
+            def probe(offset):
+                order = answerable[offset:] + answerable[:offset]
+                try:
+                    for _ in range(rounds):
+                        for query in order:
+                            service._query_variants(query, Context())
+                except Exception as error:  # noqa: BLE001 - asserted
+                    errors.append(error)
+
+            pool = [
+                threading.Thread(target=probe, args=(offset,))
+                for offset in range(threads)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=300)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in pool)
+            assert errors == []
+            assert len(generator._cache) <= 2
+            assert generator.cache_hits + generator.cache_misses == (
+                threads * rounds
+                * sum(len(tokenize(query)) for query in answerable)
+            )
+
+    def test_leg_over_shard_one_builds_no_fastss_index(
+        self, manifests, queries, monkeypatch
+    ):
+        config = _config(True)
+        paths = manifests[2].shard_paths()
+        coordinator = XCleanSuggester(load_snapshot(paths[0]), config=config)
+        handed = {}
+        for query in queries:
+            keywords = coordinator.corpus.tokenizer.tokenize(query)
+            if keywords:
+                handed[query] = keyword_variants(
+                    keywords, coordinator.generator, config.max_errors
+                )
+        built = []
+
+        def spy_on(owner, name):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                built.append(f"{owner.__name__}.{name}")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        for owner in (VariantGenerator, FastSSIndex, PartitionedFastSSIndex):
+            spy_on(owner, "__init__")
+        spy_on(SnapshotCorpusIndex, "variant_generator")
+        leg = XCleanSuggester(load_snapshot(paths[1]), config=config)
+        rows = {
+            query: leg.partial_rows(query, variants=variants)
+            for query, variants in handed.items()
+        }
+        assert built == []
+        assert leg._generator is None
+        monkeypatch.undo()
+        # The same leg probing a FastSS index of its own (rebuilt from
+        # the vocabulary: shard 1 keeps no tables) scores identically.
+        own = XCleanSuggester(load_snapshot(paths[1]), config=config)
+        assert any(table for table, _ in rows.values())
+        for query, (table, stats) in rows.items():
+            own_table, own_stats = own.partial_rows(query)
+            assert table == own_table, query
+            assert stats.variant_cache_hits == 0
+            assert stats.variant_cache_misses == 0
+            for counter in ("groups_processed", "candidates_evaluated",
+                            "entities_scored", "postings_read"):
+                assert getattr(stats, counter) == getattr(
+                    own_stats, counter
+                ), (query, counter)
 
 
 # ----------------------------------------------------------------------

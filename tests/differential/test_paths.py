@@ -11,7 +11,8 @@ co-occur in one leaf, each token misspelled by
 * the linear mode (``use_skipping=False``);
 * a v3 snapshot of the same corpus;
 * ``SuggestionService.suggest_detailed``;
-* an in-process 2-shard ``ShardedSuggestionService``.
+* in-process 2-shard and 4-shard ``ShardedSuggestionService``
+  coordinators, whose legs score with the coordinator's variants.
 
 Checks: byte-identical top-k (tokens, score, result type) on every
 path; ``score_all`` equal to the ``NaiveCleaner`` oracle (the Section
@@ -150,9 +151,13 @@ def case(request, tmp_path_factory):
     directory = tmp_path_factory.mktemp(f"differential-{name}")
     snapshot_path = str(directory / "index.xcs3")
     build_snapshot(corpus, snapshot_path)
-    shard_dir = directory / "shards"
-    shard_dir.mkdir()
-    manifest = build_sharded_snapshot(corpus, str(shard_dir), 2)
+    manifests = {}
+    for count in (2, 4):
+        shard_dir = directory / f"shards{count}"
+        shard_dir.mkdir()
+        manifests[count] = build_sharded_snapshot(
+            corpus, str(shard_dir), count
+        )
     snapshot = load_snapshot(snapshot_path)
     kernel = XCleanSuggester(corpus, config=config)
     linear = XCleanSuggester(
@@ -164,8 +169,10 @@ def case(request, tmp_path_factory):
         with SuggestionService(
             corpus, config=config
         ) as service, ShardedSuggestionService(
-            manifest, config=config
-        ) as sharded:
+            manifests[2], config=config
+        ) as sharded, ShardedSuggestionService(
+            manifests[4], config=config
+        ) as sharded4:
             for query in queries:
                 run = runs[query] = Run()
                 # A cold run merges its own columns, whatever came
@@ -180,7 +187,9 @@ def case(request, tmp_path_factory):
                     run.rows[path] = rows_of(suggester.suggest(query, K))
                     run.stats[path] = suggester.last_stats
                 for path, server in (
-                    ("service", service), ("sharded", sharded)
+                    ("service", service),
+                    ("sharded", sharded),
+                    ("sharded4", sharded4),
                 ):
                     got, stats = server.suggest_detailed(query, K)
                     run.rows[path] = rows_of(got)

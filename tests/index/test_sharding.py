@@ -181,20 +181,32 @@ class TestShardSnapshots:
             # Global statistics are replicated into every shard.
             assert shard.vocabulary.total_tokens > 0
 
-    def test_every_shard_embeds_the_same_fastss_bytes(self, manifest):
-        tables = []
+    def test_only_shard_zero_embeds_fastss(self, corpus, tmp_path):
+        manifest = build_sharded_snapshot(corpus, str(tmp_path), 3)
+        names = []
         for path in manifest.shard_paths():
             with open(path, "rb") as handle:
                 raw = handle.read()
-            tables.append({
-                name: raw[offset : offset + length]
-                for name, (offset, length, _crc) in _parse_table(raw).items()
+            names.append(sorted(
+                name for name in _parse_table(raw)
                 if name.startswith("fsd_")
-            })
-            shard = load_snapshot(path)
-            assert shard.variant_generator(2)._index is shard._fastss_index()
-        assert len(tables[0]) == 9
-        assert all(table == tables[0] for table in tables)
+            ))
+        assert names[0] == sorted(
+            f"fsd_{tag}_{column}"
+            for tag in "spx" for column in ("key", "start", "ids")
+        )
+        assert names[1:] == [[], []]
+        first = load_snapshot(manifest.shard_paths()[0])
+        assert first.variant_generator(2)._index is first._fastss_index()
+        # A later shard on its own rebuilds FastSS from its (global)
+        # vocabulary, and finds the same variants.
+        later = load_snapshot(manifest.shard_paths()[2])
+        assert later._fastss_index() is None
+        embedded, rebuilt = (
+            first.variant_generator(2), later.variant_generator(2)
+        )
+        for token in list(corpus.vocabulary) + ["icdtt", "tre", "xm"]:
+            assert rebuilt.variants(token) == embedded.variants(token)
 
     def test_shard_postings_partition_the_corpus(
         self, manifest, corpus

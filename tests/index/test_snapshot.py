@@ -11,6 +11,7 @@ from repro.core.naive import NaiveCleaner
 from repro.exceptions import StorageError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import build_corpus_index
+from repro.index import snapshot as snapshot_module
 from repro.index.snapshot import (
     MAGIC,
     _parse_table,
@@ -276,6 +277,30 @@ class TestFastSSTables:
             build_snapshot(
                 corpus, str(tmp_path / "x.xcs3"), generator=generator
             )
+
+
+class TestStringTableFind:
+    """``find`` answers from the ids of decoded strings when it can."""
+
+    ABSENT = ("", "zzzz", "confernce", "\u00e9t\u00e9")
+
+    @pytest.mark.parametrize("limit", [None, 3], ids=["memo", "memo-full"])
+    def test_find_agrees_with_and_without_the_memo(
+        self, snapshot_path, monkeypatch, limit
+    ):
+        if limit is not None:
+            monkeypatch.setattr(snapshot_module, "_MEMO_LIMIT", limit)
+        searched = load_snapshot(snapshot_path).vocabulary._table
+        memoized = load_snapshot(snapshot_path).vocabulary._table
+        tokens = [memoized.get_str(rank) for rank in range(len(memoized))]
+        assert len(memoized._ids) == min(len(tokens), limit or len(tokens))
+        for rank, token in enumerate(tokens):
+            assert memoized.find(token) == searched.find(token) == rank
+        for token in self.ABSENT:
+            assert token not in tokens
+            assert memoized.find(token) == searched.find(token) == -1
+        # ``find`` reads bytes only; it never fills the memo itself.
+        assert searched._ids == {}
 
 
 class TestEngineParity:
